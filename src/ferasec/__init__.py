@@ -6,7 +6,7 @@ deterministic synthetic corpus generator, and a leave-one-out
 cross-validation harness.
 """
 
-from .clutter import DEFAULT_ALPHA, ClutterState, clutter_update, reduce_frameset
+from .clutter import DEFAULT_ALPHA, reduce_frameset
 from .dtw import DtwConfig, classify_1nn, mddtw_distance
 from .errors import (
     DegenerateInputError,
@@ -50,8 +50,6 @@ from .frames import (
 from .harness import (
     EvaluationReport,
     FoldRecord,
-    accuracy,
-    baseline_rawframe_eval,
     format_report,
     loocv,
     report_to_text,

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .clutter import DEFAULT_ALPHA
-from .dtw import DtwConfig, classify_1nn
-from .errors import FerasecError, NumericError
+from .dtw import _METRICS, DtwConfig, classify_1nn
+from .errors import FerasecError, NumericError, read_utf8
 from .features import FerasecConfig, extract_features, load_features, store_features
 from .frames import load_frameset, load_manifest, positioning_check
 from .harness import METHODS, format_report, loocv, write_report
@@ -34,15 +34,18 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
+_FERASEC_DEFAULTS = FerasecConfig()
+_HMM_DEFAULTS = HmmTrainingConfig()
+
 
 def _add_ferasec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                         help="clutter filter coefficient (default %(default)s)")
-    parser.add_argument("--window", type=int, default=400,
+    parser.add_argument("--window", type=int, default=_FERASEC_DEFAULTS.window,
                         help="RMS envelope window length (default %(default)s)")
-    parser.add_argument("--downsample", type=int, default=1024,
+    parser.add_argument("--downsample", type=int, default=_FERASEC_DEFAULTS.downsample,
                         help="envelope downsampling factor (default %(default)s)")
-    parser.add_argument("--delta-window", type=int, default=9,
+    parser.add_argument("--delta-window", type=int, default=_FERASEC_DEFAULTS.delta_window,
                         help="delta feature window length (default %(default)s)")
 
 
@@ -51,10 +54,14 @@ def _ferasec_cfg(args: argparse.Namespace) -> FerasecConfig:
 
 
 def _add_hmm_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rounds", type=int, default=3, help="realignment rounds (default %(default)s)")
-    parser.add_argument("--epochs", type=int, default=20, help="epochs per round (default %(default)s)")
-    parser.add_argument("--batch-size", type=int, default=128, help="mini-batch size (default %(default)s)")
-    parser.add_argument("--learning-rate", type=float, default=0.01, help="SGD step size (default %(default)s)")
+    parser.add_argument("--rounds", type=int, default=_HMM_DEFAULTS.realignment_rounds,
+                        help="realignment rounds (default %(default)s)")
+    parser.add_argument("--epochs", type=int, default=_HMM_DEFAULTS.epochs_per_round,
+                        help="epochs per round (default %(default)s)")
+    parser.add_argument("--batch-size", type=int, default=_HMM_DEFAULTS.batch_size,
+                        help="mini-batch size (default %(default)s)")
+    parser.add_argument("--learning-rate", type=float, default=_HMM_DEFAULTS.learning_rate,
+                        help="SGD step size (default %(default)s)")
 
 
 def _hmm_cfg(args: argparse.Namespace, seed: int) -> HmmTrainingConfig:
@@ -65,6 +72,11 @@ def _hmm_cfg(args: argparse.Namespace, seed: int) -> HmmTrainingConfig:
         learning_rate=args.learning_rate,
         seed=seed,
     )
+
+
+def _add_metric_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metric", default=DtwConfig().local_metric, choices=_METRICS,
+                        help="dtw local metric (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train the MLP-HMM classifier on a corpus")
     tr.add_argument("--method", default="hmm", choices=["hmm"], help="classifier to train")
     tr.add_argument("--corpus", type=Path, required=True, help="corpus manifest")
-    tr.add_argument("--seed", type=int, default=0, help="training seed (default %(default)s)")
+    tr.add_argument("--seed", type=int, default=_HMM_DEFAULTS.seed,
+                    help="training seed (default %(default)s)")
     tr.add_argument("--out", type=Path, required=True, help="model output file")
     _add_ferasec_options(tr)
     _add_hmm_options(tr)
@@ -112,12 +125,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--test", type=Path, required=True, help="feature matrix to classify")
     cl.add_argument("--refs", type=Path, help="reference corpus manifest (dtw)")
     cl.add_argument("--model", type=Path, help="trained model file (hmm)")
-    cl.add_argument("--metric", default="euclidean", choices=["euclidean", "manhattan"],
-                    help="dtw local metric (default %(default)s)")
+    _add_metric_option(cl)
     _add_ferasec_options(cl)
 
     lo = sub.add_parser("loocv", help="leave-one-out cross-validation over a corpus")
-    lo.add_argument("--method", required=True, choices=list(METHODS) + ["hmm-cr"])
+    lo.add_argument("--method", required=True, choices=METHODS)
     lo.add_argument("--corpus", type=Path, required=True, help="corpus manifest")
     lo.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     lo.add_argument("--report", type=Path, default=None, help="machine-readable report path")
@@ -125,8 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="train once per held-out repetition group instead of per item")
     lo.add_argument("--fast-groups", type=int, default=None,
                     help="number of repetition groups for --fast-loocv")
-    lo.add_argument("--metric", default="euclidean", choices=["euclidean", "manhattan"],
-                    help="dtw local metric (default %(default)s)")
+    _add_metric_option(lo)
     _add_ferasec_options(lo)
     _add_hmm_options(lo)
 
@@ -143,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args: argparse.Namespace) -> int:
     scripts, cfg = vowel8_preset(args.difficulty)
     if args.scripts is not None:
-        scripts = parse_scripts_text(args.scripts.read_text(encoding="utf-8"))
+        scripts = parse_scripts_text(read_utf8(args.scripts))
     overrides = {}
     if args.noise is not None:
         overrides["noise_sigma"] = args.noise

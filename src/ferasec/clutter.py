@@ -13,55 +13,14 @@ motion survives in ``y`` while the static background cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .frames import Frame, FrameSet, FrameSetKind
+from .errors import DomainError
+from .frames import FrameSet, FrameSetKind
 
-__all__ = ["DEFAULT_ALPHA", "ClutterState", "clutter_update", "reduce_frameset"]
+__all__ = ["DEFAULT_ALPHA", "reduce_frameset"]
 
 DEFAULT_ALPHA = 0.95
-
-
-@dataclass(frozen=True)
-class ClutterState:
-    """Running clutter estimate for one radar stream."""
-
-    c: np.ndarray
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=np.float64).copy()
-        if c.ndim != 1 or c.size == 0:
-            raise DimensionError("clutter estimate must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("clutter estimate must be finite")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def n(self) -> int:
-        return int(self.c.size)
-
-
-def clutter_update(state: ClutterState, frame: Frame) -> tuple[ClutterState, Frame]:
-    """Advance the clutter estimate by one frame and return the reduced frame.
-
-    The update is evaluated as ``c + (1 - alpha) * (r - c)``, algebraically
-    identical to ``alpha*c + (1-alpha)*r`` but exactly fixed-point
-    preserving in floating point: a converged estimate yields an exactly
-    zero reduced frame.
-    """
-    if frame.n != state.n:
-        raise DimensionError(f"frame length {frame.n} does not match clutter length {state.n}")
-    r = frame.amplitudes
-    c_new = state.c + (1.0 - state.alpha) * (r - state.c)
-    reduced = r - c_new
-    return ClutterState(c_new, state.alpha), Frame(reduced)
 
 
 def reduce_frameset(
@@ -90,6 +49,8 @@ def reduce_frameset(
     reduced = np.empty_like(data)
     one_minus = 1.0 - alpha
     for m in range(raw.m):
+        # Incremental form of alpha*c + (1-alpha)*r: it keeps the fixed
+        # point exact, so a converged estimate reduces to exactly zero.
         c = c + one_minus * (data[m] - c)
         reduced[m] = data[m] - c
     return FrameSet(

@@ -93,12 +93,6 @@ def classify_1nn(
     """
     if not references:
         raise DomainError("reference list must not be empty")
-    best_label: str | None = None
-    best_distance = np.inf
-    for ref, label in references:
-        d = mddtw_distance(test, ref, cfg)
-        if d < best_distance:
-            best_distance = d
-            best_label = label
-    assert best_label is not None
-    return best_label, float(best_distance)
+    distances = [mddtw_distance(test, ref, cfg) for ref, _ in references]
+    nearest = int(np.argmin(distances))  # first minimum = earliest reference
+    return references[nearest][1], float(distances[nearest])

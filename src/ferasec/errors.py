@@ -3,6 +3,10 @@
 Input-validation failures map to CLI exit code 2, numeric failures to 3.
 """
 
+from __future__ import annotations
+
+from pathlib import Path
+
 
 class FerasecError(Exception):
     """Base class for all errors raised by this package."""
@@ -40,3 +44,11 @@ class TrainingError(FerasecError):
 
 class NumericError(FerasecError):
     """A computation produced non-finite values."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """Read a UTF-8 text file; undecodable bytes raise :class:`FormatError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})", offset=exc.start) from None

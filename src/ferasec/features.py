@@ -284,4 +284,8 @@ def load_features(path: str | Path) -> np.ndarray:
             offset=_FEATURES_HEADER.size + min(actual, expected),
         )
     data = np.frombuffer(blob, dtype="<f4", count=rows * length, offset=_FEATURES_HEADER.size)
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FormatError("feature values must be finite", offset=_FEATURES_HEADER.size + 4 * bad)
     return data.reshape(rows, length).astype(np.float64)

@@ -13,6 +13,7 @@ clutter-reduced sets (which may be negative) reuse the same format.
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,7 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
+    read_utf8,
 )
 
 __all__ = [
@@ -139,9 +141,6 @@ class FrameSet:
     def frames(self) -> Iterator[Frame]:
         for m in range(1, self.m + 1):
             yield self.frame(m)
-
-    def with_label(self, label: str | None) -> "FrameSet":
-        return FrameSet(self.data, self.frame_rate_hz, self.range_m, self.kind, label)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameSet):
@@ -305,11 +304,18 @@ class CorpusManifest:
         if not entries:
             raise DomainError("manifest must contain at least one entry")
         seen: set[tuple[str, int, str]] = set()
+        paths: set[str] = set()
         for e in entries:
             key = (e.label, e.repetition, e.position)
             if key in seen:
                 raise DomainError(f"duplicate (class, repetition, position) entry: {key}")
             seen.add(key)
+            # The path is the item's identity: a repeated file would be
+            # scored against itself in cross-validation.
+            path = os.path.normpath(e.path)
+            if path in paths:
+                raise DomainError(f"duplicate frame-set path: {e.path!r}")
+            paths.add(path)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "root", Path(self.root))
 
@@ -353,7 +359,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     """Read a manifest; frame-set paths resolve relative to the manifest's directory."""
     path = Path(path)
     entries: list[ManifestEntry] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -366,4 +372,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
     if not entries:
         raise FormatError(f"{path}: manifest is empty")
-    return CorpusManifest(tuple(entries), root=path.parent)
+    try:
+        return CorpusManifest(tuple(entries), root=path.parent)
+    except DomainError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -34,23 +34,20 @@ from .dtw import DtwConfig, mddtw_distance
 from .errors import DomainError, TrainingError
 from .features import FerasecConfig, extract_features
 from .frames import CorpusManifest, ManifestEntry, load_frameset
-from .hmm import HmmTrainingConfig, TrainedHmmModel, classify, train
+from .hmm import HmmTrainingConfig, classify, train
 from .seeding import derive_seed
 
 __all__ = [
     "METHODS",
     "FoldRecord",
     "EvaluationReport",
-    "accuracy",
     "loocv",
-    "baseline_rawframe_eval",
     "format_report",
     "report_to_text",
     "write_report",
 ]
 
 METHODS = ("dtw", "hmm", "hmm-raw", "hmm-clutterreduced")
-_METHOD_ALIASES = {"hmm-cr": "hmm-clutterreduced"}
 THREADS_ENV_VAR = "FERASEC_THREADS"
 
 
@@ -79,6 +76,8 @@ class EvaluationReport:
         b = len(labels)
         if confusion.shape != (b, b):
             raise DomainError(f"confusion matrix must be {b}x{b}, got {confusion.shape}")
+        if np.any(confusion < 0):
+            raise DomainError("confusion counts must be non-negative")
         if int(confusion.sum()) != len(folds):
             raise DomainError("confusion total must equal the number of folds")
         confusion.setflags(write=False)
@@ -105,16 +104,6 @@ class EvaluationReport:
         with np.errstate(invalid="ignore", divide="ignore"):
             pct = np.where(totals > 0, 100.0 * self.confusion / totals, 0.0)
         return pct
-
-
-def accuracy(correct: int, reps: int, class_count: int) -> float:
-    """Percentage of correctly classified items: ``100 * x / (reps * B)``."""
-    if reps < 1 or class_count < 1:
-        raise DomainError("reps and class_count must be positive")
-    total = reps * class_count
-    if not 0 <= correct <= total:
-        raise DomainError(f"correct count {correct} outside 0..{total}")
-    return 100.0 * correct / total
 
 
 def _max_workers() -> int:
@@ -181,60 +170,21 @@ def _dtw_folds(
     return records
 
 
-def _train_and_classify(
-    train_items: list[tuple[np.ndarray, str]],
-    test_items: list[tuple[ManifestEntry, np.ndarray]],
-    held_out_ids: set[str],
-    train_ids: list[str],
-    hmm_cfg: HmmTrainingConfig,
-) -> list[FoldRecord]:
-    leaked = held_out_ids.intersection(train_ids)
-    if leaked:
-        raise AssertionError(f"held-out items leaked into training: {sorted(leaked)}")
-    model: TrainedHmmModel = train(train_items, hmm_cfg)
-    records = []
-    for entry, feats in test_items:
-        predicted, _ = classify(model, feats)
-        records.append(FoldRecord(entry.item_id, entry.label, predicted))
-    return records
+def _fold_jobs(
+    entries: Sequence[ManifestEntry], seed: int, fast: bool, groups: int | None
+) -> list[tuple[list[int], int]]:
+    """``(held-out indices, fold seed)`` for each model to train.
 
-
-def _hmm_folds_faithful(
-    manifest: CorpusManifest,
-    features: list[np.ndarray],
-    hmm_cfg: HmmTrainingConfig,
-    seed: int,
-) -> list[FoldRecord]:
-    entries = manifest.entries
-    # Training corpora are assembled in canonical item order and fold seeds
-    # key on item identity, so results survive manifest permutation.
+    Faithful LOOCV holds out one item per model, fast LOOCV one group of
+    repetition sessions.  Seeds key on the held-out identities and jobs
+    come in canonical item order, so results survive manifest permutation.
+    """
     canonical = _canonical_order(entries)
-
-    def run(fold_index: int) -> list[FoldRecord]:
-        entry = entries[fold_index]
-        fold_seed = derive_seed(seed, "fold", entry.label, entry.repetition, entry.position)
-        train_items = [
-            (features[j], entries[j].label) for j in canonical if j != fold_index
+    if not fast:
+        return [
+            ([i], derive_seed(seed, "fold", entries[i].label, entries[i].repetition, entries[i].position))
+            for i in canonical
         ]
-        train_ids = [entries[j].item_id for j in canonical if j != fold_index]
-        cfg = _with_seed(hmm_cfg, fold_seed)
-        return _train_and_classify(
-            train_items, [(entry, features[fold_index])], {entry.item_id}, train_ids, cfg
-        )
-
-    nested = _map_folds(run, canonical)
-    return [rec for recs in nested for rec in recs]
-
-
-def _hmm_folds_fast(
-    manifest: CorpusManifest,
-    features: list[np.ndarray],
-    hmm_cfg: HmmTrainingConfig,
-    seed: int,
-    groups: int | None,
-) -> list[FoldRecord]:
-    entries = manifest.entries
-    canonical = _canonical_order(entries)
     reps = sorted({e.repetition for e in entries})
     group_count = len(reps) if groups is None else groups
     if not 1 < group_count <= len(reps):
@@ -243,31 +193,43 @@ def _hmm_folds_fast(
         )
     bounds = np.linspace(0, len(reps), group_count + 1).round().astype(int)
     rep_groups = [tuple(reps[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    return [
+        (
+            [j for j in canonical if entries[j].repetition in group],
+            derive_seed(seed, "group", *[str(r) for r in group]),
+        )
+        for group in rep_groups
+    ]
 
-    def run(group: tuple[int, ...]) -> list[FoldRecord]:
-        group_seed = derive_seed(seed, "group", *[str(r) for r in group])
-        held = set(group)
-        train_items = [
-            (features[j], entries[j].label)
-            for j in canonical
-            if entries[j].repetition not in held
+
+def _hmm_folds(
+    entries: Sequence[ManifestEntry],
+    features: list[np.ndarray],
+    hmm_cfg: HmmTrainingConfig,
+    jobs: Sequence[tuple[list[int], int]],
+) -> list[FoldRecord]:
+    """Train one model per job on every item it does not hold out (in
+    canonical order), then classify the held-out items with it."""
+    canonical = _canonical_order(entries)
+
+    def run(job: tuple[list[int], int]) -> list[FoldRecord]:
+        held_out, fold_seed = job
+        held = set(held_out)
+        train_idx = [j for j in canonical if j not in held]
+        leaked = {entries[j].item_id for j in held_out}.intersection(
+            entries[j].item_id for j in train_idx
+        )
+        if leaked:
+            raise AssertionError(f"held-out items leaked into training: {sorted(leaked)}")
+        model = train(
+            [(features[j], entries[j].label) for j in train_idx], replace(hmm_cfg, seed=fold_seed)
+        )
+        return [
+            FoldRecord(entries[j].item_id, entries[j].label, classify(model, features[j])[0])
+            for j in held_out
         ]
-        train_ids = [entries[j].item_id for j in canonical if entries[j].repetition not in held]
-        test_items = [
-            (entries[j], features[j])
-            for j in canonical
-            if entries[j].repetition in held
-        ]
-        held_ids = {entry.item_id for entry, _ in test_items}
-        cfg = _with_seed(hmm_cfg, group_seed)
-        return _train_and_classify(train_items, test_items, held_ids, train_ids, cfg)
 
-    nested = _map_folds(run, rep_groups)
-    return [rec for recs in nested for rec in recs]
-
-
-def _with_seed(cfg: HmmTrainingConfig, seed: int) -> HmmTrainingConfig:
-    return replace(cfg, seed=seed)
+    return [rec for recs in _map_folds(run, jobs) for rec in recs]
 
 
 def loocv(
@@ -288,7 +250,6 @@ def loocv(
     other items; an in-fold audit asserts that the held-out items appear
     in no training set.  Deterministic given ``seed``.
     """
-    method = _METHOD_ALIASES.get(method, method)
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     a = len(manifest.entries)
@@ -302,11 +263,9 @@ def loocv(
     if method == "dtw":
         records = _dtw_folds(manifest, features, dtw_cfg)
     else:
+        jobs = _fold_jobs(manifest.entries, seed, fast, fast_groups)
         try:
-            if fast:
-                records = _hmm_folds_fast(manifest, features, hmm_cfg, seed, fast_groups)
-            else:
-                records = _hmm_folds_faithful(manifest, features, hmm_cfg, seed)
+            records = _hmm_folds(manifest.entries, features, hmm_cfg, jobs)
         except TrainingError as exc:
             raise TrainingError(f"{method} cross-validation aborted: {exc}") from exc
 
@@ -325,23 +284,6 @@ def loocv(
         reps_per_class=reps_per_class,
         timing_s=time.perf_counter() - started,
     )
-
-
-def baseline_rawframe_eval(
-    manifest: CorpusManifest,
-    variant: str = "raw",
-    **kwargs,
-) -> EvaluationReport:
-    """MLP-HMM evaluation on frame-level inputs instead of FERASEC features.
-
-    ``variant`` selects raw or clutter-reduced frames.  Used to check
-    that engineered features beat frame-level inputs under the same
-    protocol.
-    """
-    methods = {"raw": "hmm-raw", "clutter_reduced": "hmm-clutterreduced"}
-    if variant not in methods:
-        raise DomainError(f"variant must be one of {tuple(methods)}, got {variant!r}")
-    return loocv(manifest, methods[variant], **kwargs)
 
 
 def format_report(report: EvaluationReport) -> str:

@@ -136,6 +136,14 @@ class TrainedHmmModel:
         biases = tuple(np.asarray(v, dtype=np.float64) for v in self.biases)
         if len(weights) != len(biases) or not weights:
             raise DimensionError("weights and biases must be non-empty and aligned")
+        for i, (w, v) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or v.shape != (w.shape[1],):
+                raise DimensionError(f"layer {i}: bias length must equal the weight fan-out")
+            if i and w.shape[0] != weights[i - 1].shape[1]:
+                raise DimensionError(
+                    f"layer {i} fan-in {w.shape[0]} does not match "
+                    f"layer {i - 1} fan-out {weights[i - 1].shape[1]}"
+                )
         if weights[-1].shape[1] != b * s:
             raise DimensionError("output layer width must equal class_count * states_per_class")
         for w, v in zip(weights, biases):
@@ -453,36 +461,12 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     )
 
 
-def viterbi_decode(model: TrainedHmmModel, label: str, features) -> tuple[float, np.ndarray]:
-    """Best-path log-likelihood of ``features`` under one class's chain.
+def _decode(
+    model: TrainedHmmModel, features, class_indices: Sequence[int]
+) -> list[tuple[float, np.ndarray]]:
+    """Best-path score and path of ``features`` under each listed class chain.
 
-    The path starts in state 0, ends in the last state, and is
-    non-decreasing with steps of 0 or +1 (0-based state indices).
-    """
-    if label not in model.labels:
-        raise DomainError(f"unknown class label {label!r}")
-    values = np.asarray(features, dtype=np.float64)
-    if values.ndim != 2:
-        raise DimensionError("features must be a 2-D array (dims x time)")
-    s = model.states_per_class
-    if values.shape[1] < s:
-        raise DomainError(
-            f"sequence of length {values.shape[1]} cannot traverse {s} states without skips"
-        )
-    c = model.labels.index(label)
-    spliced = splice_context(values, model.config.context_window)
-    logpost = mlp_log_posteriors(model.params, spliced)
-    emissions = _scaled_log_likelihoods(logpost, model.priors, c, s)
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transitions[c])
-    return _viterbi_core(emissions, log_trans)
-
-
-def classify(model: TrainedHmmModel, features) -> tuple[str, np.ndarray]:
-    """Label of the chain with the highest best-path log-likelihood.
-
-    Returns the winning label plus the per-class log-likelihood vector
-    (aligned with ``model.labels``); ties break toward the earlier class.
+    The network runs once, whatever the number of classes decoded.
     """
     values = np.asarray(features, dtype=np.float64)
     if values.ndim != 2:
@@ -496,10 +480,30 @@ def classify(model: TrainedHmmModel, features) -> tuple[str, np.ndarray]:
     logpost = mlp_log_posteriors(model.params, spliced)
     with np.errstate(divide="ignore"):
         log_trans = np.log(model.transitions)
-    scores = np.empty(model.class_count)
-    for c in range(model.class_count):
-        emis = _scaled_log_likelihoods(logpost, model.priors, c, s)
-        scores[c], _ = _viterbi_core(emis, log_trans[c])
+    return [
+        _viterbi_core(_scaled_log_likelihoods(logpost, model.priors, c, s), log_trans[c])
+        for c in class_indices
+    ]
+
+
+def viterbi_decode(model: TrainedHmmModel, label: str, features) -> tuple[float, np.ndarray]:
+    """Best-path log-likelihood of ``features`` under one class's chain.
+
+    The path starts in state 0, ends in the last state, and is
+    non-decreasing with steps of 0 or +1 (0-based state indices).
+    """
+    if label not in model.labels:
+        raise DomainError(f"unknown class label {label!r}")
+    return _decode(model, features, [model.labels.index(label)])[0]
+
+
+def classify(model: TrainedHmmModel, features) -> tuple[str, np.ndarray]:
+    """Label of the chain with the highest best-path log-likelihood.
+
+    Returns the winning label plus the per-class log-likelihood vector
+    (aligned with ``model.labels``); ties break toward the earlier class.
+    """
+    scores = np.array([score for score, _ in _decode(model, features, range(model.class_count))])
     winner = int(np.argmax(scores))
     return model.labels[winner], scores
 
@@ -577,7 +581,10 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         (length,) = take("<I")
         if pos + length > len(blob):
             raise FormatError("model file truncated in label table", offset=pos)
-        labels.append(bytes(view[pos : pos + length]).decode("utf-8"))
+        try:
+            labels.append(bytes(view[pos : pos + length]).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError("class label is not UTF-8", offset=pos + exc.start) from None
         pos += length
     transitions = take_floats(b * s * s).reshape(b, s, s)
     transitions /= transitions.sum(axis=2, keepdims=True)

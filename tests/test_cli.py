@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ferasec.cli import main
-from ferasec.features import load_features
+from ferasec.cli import _build_parser, _ferasec_cfg, _hmm_cfg, main
+from ferasec.clutter import DEFAULT_ALPHA
+from ferasec.dtw import DtwConfig
+from ferasec.features import FerasecConfig, load_features, store_features
 from ferasec.frames import load_frameset, load_manifest, store_frameset, FrameSet
-from ferasec.hmm import load_model
+from ferasec.hmm import HmmTrainingConfig, TrainedHmmModel, load_model, store_model
 
 
 SCRIPTS_TEXT = """\
@@ -139,8 +141,6 @@ class TestTrainAndClassify:
 
     def test_classify_dtw_requires_refs(self, tmp_path):
         feats = tmp_path / "t.ftm"
-        from ferasec.features import store_features
-
         store_features(np.zeros((6, 8)), feats)
         assert main(["classify", "--method", "dtw", "--test", str(feats)]) == 2
 
@@ -157,15 +157,6 @@ class TestLoocvCommand:
         assert "accuracy" in out
         text = report_path.read_text(encoding="utf-8")
         assert "method=dtw" in text
-
-    def test_hmm_cr_alias(self, corpus_dir, capsys):
-        code = main(
-            ["loocv", "--method", "hmm-cr", "--corpus", str(corpus_dir / "manifest.tsv"),
-             "--seed", "5", "--fast-loocv", "--rounds", "1", "--epochs", "2",
-             "--batch-size", "32"]
-        )
-        assert code == 0
-        assert "hmm-clutterreduced" in capsys.readouterr().out
 
 
 class TestAid:
@@ -205,3 +196,103 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestDefaults:
+    def test_parsed_defaults_equal_config_defaults(self):
+        parser = _build_parser()
+        for argv in (
+            ["train", "--corpus", "c.tsv", "--out", "m.hmm"],
+            ["loocv", "--method", "hmm", "--corpus", "c.tsv"],
+        ):
+            args = parser.parse_args(argv)
+            assert _hmm_cfg(args, args.seed) == HmmTrainingConfig()
+            assert _ferasec_cfg(args) == FerasecConfig()
+            assert args.alpha == DEFAULT_ALPHA
+        for argv in (
+            ["classify", "--method", "dtw", "--test", "t.ftm"],
+            ["loocv", "--method", "dtw", "--corpus", "c.tsv"],
+        ):
+            assert parser.parse_args(argv).metric == DtwConfig().local_metric
+
+
+def zero_model():
+    """Two classes, two states, 3-column context over six feature rows."""
+    return TrainedHmmModel(
+        labels=("aa", "bb"),
+        transitions=np.tile(np.array([[0.5, 0.5], [0.0, 1.0]]), (2, 1, 1)),
+        priors=np.full(4, 0.25),
+        weights=(np.zeros((18, 4)), np.zeros((4, 4))),
+        biases=(np.zeros(4), np.zeros(4)),
+        config=HmmTrainingConfig(hidden=(4,), states_per_class=2, context_window=3),
+    )
+
+
+class TestMalformedInput:
+    """Malformed files end as ``error: ...`` with exit 2, never a traceback."""
+
+    def assert_exit_2(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.tsv"
+        bad.write_bytes(b"a\xff.frs\ta\t1\tupper\t0\n")
+        self.assert_exit_2(["loocv", "--method", "dtw", "--corpus", str(bad)], capsys)
+
+    def test_non_utf8_scripts(self, tmp_path, capsys):
+        bad = tmp_path / "scripts.txt"
+        bad.write_bytes(SCRIPTS_TEXT.encode("utf-8").replace(b"left", b"l\xe9ft"))
+        self.assert_exit_2(
+            ["generate", "--scripts", str(bad), "--reps", "2", "--out", str(tmp_path / "c")],
+            capsys,
+        )
+
+    def test_non_utf8_model_label(self, tmp_path, capsys):
+        path = tmp_path / "model.hmm"
+        store_model(zero_model(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"\x02\x00\x00\x00aa", b"\x02\x00\x00\x00\xff\xfe", 1))
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        self.assert_exit_2(
+            ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
+        )
+
+    def test_inconsistent_model_layers(self, tmp_path, capsys):
+        model = zero_model()
+        # Layer 1 fan-in 5 against layer 0 fan-out 4; only a writer that
+        # skips validation can produce this file.
+        object.__setattr__(model, "weights", (np.zeros((18, 4)), np.zeros((5, 4))))
+        path = tmp_path / "model.hmm"
+        store_model(model, path)
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        self.assert_exit_2(
+            ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
+        )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features(self, corpus_dir, tmp_path, capsys, value):
+        values = np.zeros((6, 8))
+        values[2, 3] = value
+        feats = tmp_path / "t.ftm"
+        store_features(values, feats)
+        model = tmp_path / "model.hmm"
+        store_model(zero_model(), model)
+        manifest = str(corpus_dir / "manifest.tsv")
+        self.assert_exit_2(
+            ["classify", "--method", "dtw", "--refs", manifest, "--test", str(feats)], capsys
+        )
+        self.assert_exit_2(
+            ["classify", "--method", "hmm", "--model", str(model), "--test", str(feats)], capsys
+        )
+
+    def test_duplicate_manifest_path(self, corpus_dir, capsys):
+        lines = (corpus_dir / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+        # Item 2 points at item 1's file; keys and class sizes stay valid.
+        lines[1] = "\t".join([lines[0].split("\t")[0]] + lines[1].split("\t")[1:])
+        bad = corpus_dir / "duplicate_path.tsv"  # next to the frame sets it names
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.assert_exit_2(["loocv", "--method", "dtw", "--corpus", str(bad)], capsys)

@@ -369,3 +369,12 @@ class TestFeaturePersistence:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError):
             load_features(path)
+
+    def test_non_finite_rejected_at_its_offset(self, tmp_path):
+        values = np.zeros((2, 3))
+        values[1, 0] = np.nan  # fourth value: 12 header bytes + 3 * 4
+        path = tmp_path / "nan.ftm"
+        store_features(values, path)
+        with pytest.raises(FormatError, match="finite") as err:
+            load_features(path)
+        assert err.value.offset == 24

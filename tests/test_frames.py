@@ -305,6 +305,16 @@ class TestManifest:
         with pytest.raises(DomainError):
             CorpusManifest(dup)
 
+    @pytest.mark.parametrize("path", ["a_1.frs", "./a_1.frs"])
+    def test_duplicate_path_rejected(self, tmp_path, path):
+        dup = self.entries() + (ManifestEntry(path, "a", 3, "upper", 99),)
+        with pytest.raises(DomainError, match="path"):
+            CorpusManifest(dup)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"a_1.frs\ta\t1\tupper\t1\n{path}\ta\t2\tupper\t2\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="path"):
+            load_manifest(manifest)
+
     def test_same_rep_different_position_allowed(self):
         both = self.entries() + (ManifestEntry("a_1_low.frs", "a", 1, "lower", 31),)
         manifest = CorpusManifest(both)

@@ -6,8 +6,6 @@ from ferasec.frames import CorpusManifest
 from ferasec.harness import (
     EvaluationReport,
     FoldRecord,
-    accuracy,
-    baseline_rawframe_eval,
     format_report,
     loocv,
     report_to_text,
@@ -54,21 +52,41 @@ def duplicate_corpus(tmp_path_factory):
     return generate_corpus(tiny_scripts(), reps=3, cfg=cfg, master_seed=1, out_dir=out)
 
 
+def report_from_confusion(confusion):
+    """Report over the given confusion matrix of classes "a", "b", ..."""
+    confusion = np.asarray(confusion)
+    labels = tuple("abcdefgh"[: len(confusion)])
+    folds = tuple(
+        FoldRecord(f"{truth}{i}{j}{n}", truth, labels[j])
+        for i, truth in enumerate(labels)
+        for j in range(len(labels))
+        for n in range(max(int(confusion[i, j]), 0))
+    )
+    reps = int(confusion.sum(axis=1).max())
+    return EvaluationReport("dtw", labels, confusion, folds, reps_per_class=reps)
+
+
 class TestAccuracy:
+    """EvaluationReport.accuracy_percent: 100 * correct / items."""
+
     def test_perfect(self):
-        assert accuracy(160, 20, 8) == 100.0
+        assert report_from_confusion(np.diag([20] * 8)).accuracy_percent == 100.0
 
     def test_zero(self):
-        assert accuracy(0, 20, 8) == 0.0
+        assert report_from_confusion(np.roll(np.diag([20] * 8), 1, axis=1)).accuracy_percent == 0.0
 
     def test_mid(self):
-        assert accuracy(138, 20, 8) == 86.25
+        confusion = np.diag([20] * 8)
+        confusion[0, :2] = [0, 20]  # 20 errors
+        confusion[1, 1:3] = [18, 2]  # 2 errors
+        report = report_from_confusion(confusion)
+        assert (report.correct_count, report.item_count) == (138, 160)
+        assert report.accuracy_percent == 86.25
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            accuracy(161, 20, 8)
-        with pytest.raises(DomainError):
-            accuracy(-1, 20, 8)
+        # A negative count would let the trace exceed the item total.
+        with pytest.raises(DomainError, match="non-negative"):
+            report_from_confusion([[2, -1], [0, 1]])
 
 
 class TestDtwLoocv:
@@ -155,43 +173,37 @@ class TestHmmLoocv:
 
 class TestBaselines:
     def test_raw_variant_plumbing(self, tiny_corpus):
-        report = baseline_rawframe_eval(
-            tiny_corpus, "raw", seed=5, hmm_cfg=SMALL_HMM, fast=True
-        )
+        report = loocv(tiny_corpus, "hmm-raw", seed=5, hmm_cfg=SMALL_HMM, fast=True)
         assert report.method == "hmm-raw"
         assert report.confusion.sum() == 12
 
     def test_clutter_reduced_variant_plumbing(self, tiny_corpus):
-        report = baseline_rawframe_eval(
-            tiny_corpus, "clutter_reduced", seed=5, hmm_cfg=SMALL_HMM, fast=True
-        )
-        assert report.method == "hmm-clutterreduced"
-
-    def test_alias_hmm_cr(self, tiny_corpus):
-        report = loocv(tiny_corpus, "hmm-cr", seed=5, hmm_cfg=SMALL_HMM, fast=True)
+        report = loocv(tiny_corpus, "hmm-clutterreduced", seed=5, hmm_cfg=SMALL_HMM, fast=True)
         assert report.method == "hmm-clutterreduced"
 
     def test_unknown_variant(self, tiny_corpus):
-        with pytest.raises(DomainError):
-            baseline_rawframe_eval(tiny_corpus, "spicy")
+        for method in ("spicy", "hmm-cr"):  # the short alias is gone too
+            with pytest.raises(DomainError, match="method"):
+                loocv(tiny_corpus, method)
 
 
 class TestLeakageAudit:
     def test_audit_rejects_overlapping_ids(self):
-        from ferasec.harness import _train_and_classify
+        # CorpusManifest rejects repeated paths, so bare entries stand in
+        # for a manifest that slipped past that check.
+        from ferasec.harness import _hmm_folds
         from ferasec.frames import ManifestEntry
 
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(6, 12))
-        entry = ManifestEntry("x.frs", "a", 1, "upper", 0)
+        entries = (
+            ManifestEntry("x.frs", "a", 1, "upper", 0),
+            ManifestEntry("x.frs", "a", 2, "upper", 0),
+            ManifestEntry("y.frs", "b", 1, "upper", 0),
+            ManifestEntry("z.frs", "b", 2, "upper", 0),
+        )
         with pytest.raises(AssertionError, match="leaked"):
-            _train_and_classify(
-                train_items=[(feats, "a"), (feats, "b")],
-                test_items=[(entry, feats)],
-                held_out_ids={"x.frs"},
-                train_ids=["x.frs", "y.frs"],
-                hmm_cfg=SMALL_HMM,
-            )
+            _hmm_folds(entries, [feats] * 4, SMALL_HMM, [([0], 0)])
 
 
 class TestReportOutput:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ferasec.errors import DomainError, NumericError, TrainingError
+from ferasec.errors import DimensionError, DomainError, NumericError, TrainingError
 from ferasec.hmm import (
     HmmTrainingConfig,
     MlpSpec,
@@ -400,6 +400,16 @@ class TestModelValidation:
         bad[0, 0, 0] = 0.7
         kwargs["transitions"] = bad
         with pytest.raises(DomainError, match="sum"):
+            TrainedHmmModel(**kwargs)
+
+    def test_layer_shapes_must_chain(self):
+        kwargs = self.base_kwargs()
+        kwargs["weights"] = (np.zeros((18, 4)), np.zeros((5, 4)))
+        with pytest.raises(DimensionError, match="fan-in"):
+            TrainedHmmModel(**kwargs)
+        kwargs = self.base_kwargs()
+        kwargs["biases"] = (np.zeros(3), np.zeros(4))
+        with pytest.raises(DimensionError, match="bias"):
             TrainedHmmModel(**kwargs)
 
     def test_zero_prior_rejected(self):
