@@ -10,6 +10,13 @@ from oracles import scalar_loopback_reference
 class TestClutterUpdate:
     """The per-frame loopback update, observed through reduce_frameset."""
 
+    def test_converged_state_yields_zero(self):
+        # first_frame init seeds the estimate with r itself: a converged
+        # state, which every further copy of r must leave at exactly zero.
+        r = np.array([10.0, 40.0, 90.0])
+        reduced = reduce_frameset(FrameSet(np.tile(r, (3, 1))), 0.7)
+        assert np.all(reduced.data == 0.0)
+
     def test_single_step_from_zero(self):
         reduced = reduce_frameset(FrameSet(np.full((1, 4), 100.0)), 0.95, init="zero")
         assert np.allclose(reduced.data, 95.0)
