@@ -63,7 +63,6 @@ from .hmm import (
     flat_start_align,
     load_model,
     mlp_backprop,
-    mlp_forward,
     mlp_init,
     mlp_log_posteriors,
     splice_context,

@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clutter import DEFAULT_ALPHA
 from .dtw import _METRICS, DtwConfig, classify_1nn
 from .errors import FerasecError, NumericError, read_utf8
 from .features import FerasecConfig, extract_features, load_features, store_features
 from .frames import load_frameset, load_manifest, positioning_check
-from .harness import METHODS, format_report, loocv, write_report
+from .harness import METHODS, format_report, item_features, loocv, write_report
 from .hmm import HmmTrainingConfig, classify as hmm_classify, load_model, store_model, train as hmm_train
 from .synth import (
     DIFFICULTIES,
@@ -39,7 +38,7 @@ _HMM_DEFAULTS = HmmTrainingConfig()
 
 
 def _add_ferasec_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+    parser.add_argument("--alpha", type=float, default=_FERASEC_DEFAULTS.alpha,
                         help="clutter filter coefficient (default %(default)s)")
     parser.add_argument("--window", type=int, default=_FERASEC_DEFAULTS.window,
                         help="RMS envelope window length (default %(default)s)")
@@ -50,7 +49,14 @@ def _add_ferasec_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _ferasec_cfg(args: argparse.Namespace) -> FerasecConfig:
-    return FerasecConfig(args.window, args.downsample, args.delta_window)
+    return FerasecConfig(args.window, args.downsample, args.delta_window, args.alpha)
+
+
+def _labeled_inputs(manifest_path: Path, method: str, args: argparse.Namespace) -> list:
+    """``(classifier input, label)`` per manifest item, built with the CLI's recipe."""
+    manifest = load_manifest(manifest_path)
+    inputs = item_features(manifest, method, _ferasec_cfg(args))
+    return list(zip(inputs, (e.label for e in manifest.entries)))
 
 
 def _add_hmm_options(parser: argparse.ArgumentParser) -> None:
@@ -174,19 +180,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     fs = load_frameset(args.input)
-    matrix = extract_features(fs, _ferasec_cfg(args), args.alpha)
+    matrix = extract_features(fs, _ferasec_cfg(args))
     store_features(matrix, args.output)
     print(f"wrote 6x{matrix.length} feature matrix to {args.output}")
     return EXIT_OK
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.corpus)
-    cfg = _ferasec_cfg(args)
-    corpus = []
-    for entry in manifest.entries:
-        fs = load_frameset(manifest.resolve(entry), label=entry.label)
-        corpus.append((extract_features(fs, cfg, args.alpha).values, entry.label))
+    corpus = _labeled_inputs(args.corpus, "hmm", args)
     model = hmm_train(corpus, _hmm_cfg(args, args.seed))
     store_model(model, args.out)
     print(f"trained {model.class_count}-class model on {len(corpus)} items; wrote {args.out}")
@@ -198,12 +199,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.method == "dtw":
         if args.refs is None:
             raise FerasecError("--refs is required for --method dtw")
-        manifest = load_manifest(args.refs)
-        cfg = _ferasec_cfg(args)
-        references = []
-        for entry in manifest.entries:
-            fs = load_frameset(manifest.resolve(entry), label=entry.label)
-            references.append((extract_features(fs, cfg, args.alpha).values, entry.label))
+        references = _labeled_inputs(args.refs, "dtw", args)
         label, distance = classify_1nn(test, references, DtwConfig(args.metric))
         print(f"{label}\t{distance:.6f}")
     else:
@@ -222,7 +218,6 @@ def _cmd_loocv(args: argparse.Namespace) -> int:
         args.method,
         seed=args.seed,
         ferasec_cfg=_ferasec_cfg(args),
-        alpha=args.alpha,
         dtw_cfg=DtwConfig(args.metric),
         hmm_cfg=_hmm_cfg(args, args.seed),
         fast=args.fast_loocv,

@@ -47,11 +47,13 @@ _FEATURES_HEADER = struct.Struct("<4sII")
 
 @dataclass(frozen=True)
 class FerasecConfig:
-    """Pipeline knobs: RMS window, downsampling factor, delta window."""
+    """The feature recipe: RMS window, downsampling factor, delta window
+    and the clutter filter coefficient of row 2."""
 
     window: int = 400
     downsample: int = 1024
     delta_window: int = 9
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
         if self.window < 2 or self.window % 2 != 0:
@@ -60,6 +62,8 @@ class FerasecConfig:
             raise DomainError(f"downsample factor must be >= 1, got {self.downsample}")
         if self.delta_window < 3 or self.delta_window % 2 == 0:
             raise DomainError(f"delta window must be an odd integer >= 3, got {self.delta_window}")
+        if not 0.0 < self.alpha < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -184,24 +188,16 @@ def delta(z: np.ndarray, delta_window: int = 9) -> np.ndarray:
     return out / denom
 
 
-def extract_features(
-    raw: FrameSet,
-    cfg: FerasecConfig = FerasecConfig(),
-    alpha: float = DEFAULT_ALPHA,
-) -> FeatureMatrix:
+def extract_features(raw: FrameSet, cfg: FerasecConfig = FerasecConfig()) -> FeatureMatrix:
     """Run the full six-row pipeline on a raw frame set."""
     if raw.kind is not FrameSetKind.RAW:
         raise DomainError("extract_features expects a raw frame set")
-    if raw.m * raw.n < cfg.downsample:
-        raise DomainError(
-            f"frame set too short: {raw.m}x{raw.n} samples < downsample factor {cfg.downsample}"
-        )
 
     def envelope_row(fs: FrameSet) -> np.ndarray:
         return remove_dc(downsample(rms_envelope(vectorize(fs), cfg.window), cfg.downsample))
 
     row1 = envelope_row(raw)
-    row2 = envelope_row(reduce_frameset(raw, alpha))
+    row2 = envelope_row(reduce_frameset(raw, cfg.alpha))
     row3 = delta(row1, cfg.delta_window)
     row4 = delta(row2, cfg.delta_window)
     row5 = delta(row3, cfg.delta_window)

@@ -17,7 +17,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,10 +137,6 @@ class FrameSet:
         if not 1 <= m <= self.m:
             raise DomainError(f"slow-time index {m} outside 1..{self.m}")
         return Frame(self.data[m - 1].astype(np.float64))
-
-    def frames(self) -> Iterator[Frame]:
-        for m in range(1, self.m + 1):
-            yield self.frame(m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameSet):

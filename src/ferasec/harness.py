@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clutter import DEFAULT_ALPHA, reduce_frameset
+from .clutter import reduce_frameset
 from .dtw import DtwConfig, mddtw_distance
 from .errors import DomainError, TrainingError
 from .features import FerasecConfig, extract_features
@@ -41,6 +41,7 @@ __all__ = [
     "METHODS",
     "FoldRecord",
     "EvaluationReport",
+    "item_features",
     "loocv",
     "format_report",
     "report_to_text",
@@ -132,22 +133,24 @@ def _canonical_order(entries: Sequence[ManifestEntry]) -> list[int]:
     return sorted(range(len(entries)), key=lambda i: (entries[i].label, entries[i].repetition, entries[i].position))
 
 
-def _item_features(
-    manifest: CorpusManifest,
-    method: str,
-    ferasec_cfg: FerasecConfig,
-    alpha: float,
-) -> list[np.ndarray]:
-    """Per-item classifier inputs, in manifest order."""
+def item_features(manifest: CorpusManifest, method: str, cfg: FerasecConfig) -> list[np.ndarray]:
+    """Per-item classifier inputs for ``method``, in manifest order.
+
+    ``dtw`` and ``hmm`` take FERASEC features built with ``cfg``;
+    ``hmm-raw`` takes raw frames and ``hmm-clutterreduced`` frames
+    reduced with ``cfg.alpha``, one column per slow-time index.
+    """
+    if method not in METHODS:
+        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     out: list[np.ndarray] = []
     for entry in manifest.entries:
         fs = load_frameset(manifest.resolve(entry), label=entry.label)
         if method in ("dtw", "hmm"):
-            out.append(extract_features(fs, ferasec_cfg, alpha).values)
+            out.append(extract_features(fs, cfg).values)
         elif method == "hmm-raw":
             out.append(fs.data.T.astype(np.float64))
         else:  # hmm-clutterreduced
-            out.append(reduce_frameset(fs, alpha).data.T.astype(np.float64))
+            out.append(reduce_frameset(fs, cfg.alpha).data.T.astype(np.float64))
     return out
 
 
@@ -165,7 +168,6 @@ def _dtw_folds(
         row = distances[i].copy()
         row[i] = np.inf  # the held-out item is never its own reference
         nearest = int(np.argmin(row))  # first minimum = earliest manifest order
-        assert nearest != i
         records.append(FoldRecord(entry.item_id, entry.label, entries[nearest].label))
     return records
 
@@ -181,6 +183,8 @@ def _fold_jobs(
     """
     canonical = _canonical_order(entries)
     if not fast:
+        if groups is not None:
+            raise DomainError(f"{groups} splits given, but splits apply only to fast LOOCV")
         return [
             ([i], derive_seed(seed, "fold", entries[i].label, entries[i].repetition, entries[i].position))
             for i in canonical
@@ -238,7 +242,6 @@ def loocv(
     *,
     seed: int = 0,
     ferasec_cfg: FerasecConfig = FerasecConfig(),
-    alpha: float = DEFAULT_ALPHA,
     dtw_cfg: DtwConfig = DtwConfig(),
     hmm_cfg: HmmTrainingConfig = HmmTrainingConfig(),
     fast: bool = False,
@@ -250,8 +253,6 @@ def loocv(
     other items; an in-fold audit asserts that the held-out items appear
     in no training set.  Deterministic given ``seed``.
     """
-    if method not in METHODS:
-        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     a = len(manifest.entries)
     b = manifest.class_count
     if a < 2 * b:
@@ -259,7 +260,7 @@ def loocv(
     reps_per_class = manifest.reps_per_class
 
     started = time.perf_counter()
-    features = _item_features(manifest, method, ferasec_cfg, alpha)
+    features = item_features(manifest, method, ferasec_cfg)
     if method == "dtw":
         records = _dtw_folds(manifest, features, dtw_cfg)
     else:

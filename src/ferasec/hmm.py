@@ -13,6 +13,7 @@ flat-start segmentation.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +36,6 @@ __all__ = [
     "splice_context",
     "flat_start_align",
     "mlp_init",
-    "mlp_forward",
     "mlp_log_posteriors",
     "mlp_backprop",
     "train",
@@ -246,11 +246,6 @@ def mlp_log_posteriors(params: MlpParams, inputs) -> np.ndarray:
             f"input width {x.shape[1]} does not match first layer fan-in {params[0][0].shape[0]}"
         )
     return _log_softmax(_forward_hiddens(params, x)[-1])
-
-
-def mlp_forward(params: MlpParams, inputs) -> np.ndarray:
-    """State posteriors (softmax outputs) for a batch of spliced inputs."""
-    return np.exp(mlp_log_posteriors(params, inputs))
 
 
 def mlp_backprop(
@@ -569,6 +564,19 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         pos += size
         return arr
 
+    def take_stochastic(shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Float block whose last-axis sums must be finite and positive, renormalized."""
+        start = pos
+        block = take_floats(math.prod(shape)).reshape(shape)  # exact for any header sizes
+        sums = block.sum(axis=-1, keepdims=True)
+        bad = ~(np.isfinite(sums) & (sums > 0.0))
+        if bad.any():
+            first = int(np.argmax(bad.reshape(-1)))
+            raise FormatError(
+                f"{what} must have a finite positive sum", offset=start + 4 * shape[-1] * first
+            )
+        return block / sums
+
     (magic,) = take("<4s")
     if magic != MODEL_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", offset=0)
@@ -586,10 +594,8 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         except UnicodeDecodeError as exc:
             raise FormatError("class label is not UTF-8", offset=pos + exc.start) from None
         pos += length
-    transitions = take_floats(b * s * s).reshape(b, s, s)
-    transitions /= transitions.sum(axis=2, keepdims=True)
-    priors = take_floats(b * s)
-    priors /= priors.sum()
+    transitions = take_stochastic((b, s, s), "each transition row")
+    priors = take_stochastic((b * s,), "the state priors")
     weights, biases = [], []
     hidden = []
     for i in range(layer_count):

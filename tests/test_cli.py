@@ -1,3 +1,6 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,6 +275,36 @@ class TestMalformedInput:
         self.assert_exit_2(
             ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
         )
+
+    def test_zero_transition_row_in_model(self, tmp_path, capsys):
+        model = zero_model()
+        path = tmp_path / "model.hmm"
+        store_model(model, path)
+        # Transitions follow the magic, both headers and the label table.
+        start = 4 + struct.calcsize("<IIIII") + struct.calcsize("<QIIIf")
+        start += sum(4 + len(label) for label in model.labels)
+        blob = bytearray(path.read_bytes())
+        s = model.states_per_class
+        blob[start : start + 4 * s] = bytes(4 * s)
+        path.write_bytes(bytes(blob))
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: each transition row must have a finite positive sum")
+        assert f"(byte offset {start})" in err
+
+    def test_bad_alpha_rejected_for_every_loocv_method(self, corpus_dir, capsys):
+        manifest = str(corpus_dir / "manifest.tsv")
+        for method in ("dtw", "hmm", "hmm-raw", "hmm-clutterreduced"):
+            self.assert_exit_2(
+                ["loocv", "--method", method, "--corpus", manifest, "--alpha", "1.5"], capsys
+            )
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features(self, corpus_dir, tmp_path, capsys, value):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ferasec.clutter import reduce_frameset
+from ferasec.clutter import DEFAULT_ALPHA, reduce_frameset
 from ferasec.errors import (
     DegenerateInputError,
     DimensionError,
@@ -188,10 +188,11 @@ class TestExtractFeatures:
             center = 20.0 + 10.0 * math.sin(2.0 * math.pi * m / 60.0)
             rows.append(40.0 * np.exp(-((bins - center) ** 2) / 8.0))
         fs = FrameSet(np.array(rows))
-        cfg = FerasecConfig(window=16, downsample=64, delta_window=9)
-        matrix = extract_features(fs, cfg, alpha=0.95)
+        # A non-default alpha shows that row 2 takes it from the recipe.
+        cfg = FerasecConfig(window=16, downsample=64, delta_window=9, alpha=0.9)
+        matrix = extract_features(fs, cfg)
 
-        reduced = reduce_frameset(fs, 0.95)
+        reduced = reduce_frameset(fs, 0.9)
         staged = naive_remove_dc(
             naive_downsample(naive_rms(vectorize(reduced).tolist(), 16), 64)
         )
@@ -259,6 +260,7 @@ class TestFerasecConfig:
     def test_defaults(self):
         cfg = FerasecConfig()
         assert (cfg.window, cfg.downsample, cfg.delta_window) == (400, 1024, 9)
+        assert cfg.alpha == DEFAULT_ALPHA
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -268,6 +270,11 @@ class TestFerasecConfig:
             {"downsample": 0},
             {"delta_window": 4},
             {"delta_window": 1},
+            {"alpha": 0.0},
+            {"alpha": 1.0},
+            {"alpha": -0.1},
+            {"alpha": 1.5},
+            {"alpha": float("nan")},
         ],
     )
     def test_invalid_values(self, kwargs):

@@ -153,15 +153,17 @@ class TestHmmLoocv:
             assert rec.predicted == by_id[rec.item_id]
 
     def test_fast_groups_validation(self, tiny_corpus):
-        with pytest.raises(DomainError, match="splits"):
-            loocv(
-                tiny_corpus,
-                "hmm",
-                ferasec_cfg=SMALL_FERASEC,
-                hmm_cfg=SMALL_HMM,
-                fast=True,
-                fast_groups=1,
-            )
+        # Too few splits, and splits without fast LOOCV.
+        for fast, groups in ((True, 1), (False, 2)):
+            with pytest.raises(DomainError, match="splits"):
+                loocv(
+                    tiny_corpus,
+                    "hmm",
+                    ferasec_cfg=SMALL_FERASEC,
+                    hmm_cfg=SMALL_HMM,
+                    fast=fast,
+                    fast_groups=groups,
+                )
 
     def test_threads_env_does_not_change_results(self, tiny_corpus, monkeypatch):
         kwargs = dict(seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)

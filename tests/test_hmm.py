@@ -13,7 +13,6 @@ from ferasec.hmm import (
     flat_start_align,
     load_model,
     mlp_backprop,
-    mlp_forward,
     mlp_init,
     mlp_log_posteriors,
     splice_context,
@@ -112,14 +111,14 @@ class TestMlp:
             (np.zeros((i, o)), np.zeros(o))
             for i, o in zip(spec.dims[:-1], spec.dims[1:])
         )
-        post = mlp_forward(params, np.random.default_rng(3).normal(size=(5, 42)))
+        post = np.exp(mlp_log_posteriors(params, np.random.default_rng(3).normal(size=(5, 42))))
         np.testing.assert_allclose(post, 1.0 / 40.0, rtol=1e-12)
 
     def test_posteriors_sum_to_one_and_positive(self):
         rng = np.random.default_rng(4)
         spec = MlpSpec(input_dim=10, hidden=(12,), output_dim=7)
         params = mlp_init(spec, rng)
-        post = mlp_forward(params, rng.normal(size=(20, 10)))
+        post = np.exp(mlp_log_posteriors(params, rng.normal(size=(20, 10))))
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(post > 0.0)
 
@@ -171,7 +170,7 @@ class TestMlp:
         params = mlp_init(spec, np.random.default_rng(7))
         bad = np.array([[1.0, np.nan, 0.0, 2.0]])
         with pytest.raises(NumericError):
-            mlp_forward(params, bad)
+            np.exp(mlp_log_posteriors(params, bad))
 
 
 class TestViterbiCore:
@@ -371,6 +370,33 @@ class TestModelPersistence:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert err.value.offset == 0
+
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [("transitions", 0.0), ("transitions", np.nan), ("transitions", np.inf), ("priors", 0.0)],
+    )
+    def test_degenerate_stochastic_block_rejected_at_offset(self, tmp_path, block, value):
+        from ferasec.errors import FormatError
+
+        model = train(toy_corpus(np.random.default_rng(24)), TOY_CFG)
+        path = tmp_path / "model.hmm"
+        store_model(model, path)
+        blob = bytearray(path.read_bytes())
+        s = model.states_per_class
+        trans_start = len(blob) - 4 * (model.transitions.size + model.priors.size) - sum(
+            8 + 4 * (w.size + v.size) for w, v in zip(model.weights, model.biases)
+        )
+        # Overwrite the second class's second transition row, or all priors.
+        if block == "transitions":
+            start, count = trans_start + 4 * (s * s + s), s
+        else:
+            start, count = trans_start + 4 * model.transitions.size, model.priors.size
+        blob[start : start + 4 * count] = np.full(count, value, dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="finite positive sum") as err:
+            load_model(path)
+        assert err.value.offset == start
 
 
 class TestModelValidation:
