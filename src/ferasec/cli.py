@@ -52,10 +52,10 @@ def _ferasec_cfg(args: argparse.Namespace) -> FerasecConfig:
     return FerasecConfig(args.window, args.downsample, args.delta_window, args.alpha)
 
 
-def _labeled_inputs(manifest_path: Path, method: str, args: argparse.Namespace) -> list:
-    """``(classifier input, label)`` per manifest item, built with the CLI's recipe."""
+def _labeled_inputs(manifest_path: Path, method: str, cfg: FerasecConfig) -> list:
+    """``(classifier input, label)`` per manifest item, built with the recipe ``cfg``."""
     manifest = load_manifest(manifest_path)
-    inputs = item_features(manifest, method, _ferasec_cfg(args))
+    inputs = item_features(manifest, method, cfg)
     return list(zip(inputs, (e.label for e in manifest.entries)))
 
 
@@ -187,7 +187,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    corpus = _labeled_inputs(args.corpus, "hmm", args)
+    corpus = _labeled_inputs(args.corpus, "hmm", _ferasec_cfg(args))
     model = hmm_train(corpus, _hmm_cfg(args, args.seed))
     store_model(model, args.out)
     print(f"trained {model.class_count}-class model on {len(corpus)} items; wrote {args.out}")
@@ -195,11 +195,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    cfg = _ferasec_cfg(args)  # a bad recipe flag is an error for both methods
     test = load_features(args.test)
     if args.method == "dtw":
         if args.refs is None:
             raise FerasecError("--refs is required for --method dtw")
-        references = _labeled_inputs(args.refs, "dtw", args)
+        references = _labeled_inputs(args.refs, "dtw", cfg)
         label, distance = classify_1nn(test, references, DtwConfig(args.metric))
         print(f"{label}\t{distance:.6f}")
     else:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter import DEFAULT_ALPHA, reduce_frameset
 from .errors import DimensionError, DomainError, FormatError
@@ -124,19 +125,22 @@ def rms_envelope(f: np.ndarray, window: int) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 1 or f.size == 0:
         raise DimensionError("envelope input must be a non-empty 1-D vector")
-    total = f.size
-    half = window // 2
-    # Window sums via a running sum of squares: O(n) regardless of the
-    # window length.  The prefix accumulates in extended precision so the
-    # difference of two prefixes stays accurate even where the local
-    # window energy is tiny compared to the whole sequence (sqrt would
-    # amplify any absolute error there).
-    csum = np.zeros(total + 1, dtype=np.longdouble)
-    np.cumsum(np.square(f, dtype=np.longdouble), out=csum[1:])
-    lo = np.maximum(np.arange(total) - half, 0)  # 0-based inclusive
-    hi = np.minimum(np.arange(total) + half - 1, total - 1)  # 0-based inclusive
-    window_sums = (csum[hi + 1] - csum[lo]).astype(np.float64)
-    return np.sqrt(np.maximum(window_sums, 0.0) / window)
+    return _windowed_rms(f, window, slice(None))
+
+
+def _windowed_rms(f: np.ndarray, window: int, kept: slice) -> np.ndarray:
+    """:func:`rms_envelope` at ``kept``, a basic slice, so overlapping windows stay a view."""
+    windows = sliding_window_view(np.pad(np.square(f), (window // 2, window // 2 - 1)), window)
+    return np.sqrt(windows[kept].sum(axis=1) / window)
+
+
+def _kept_samples(length: int, factor: int) -> slice:
+    """Positions ``factor * k`` (1-based), k = 1..floor(length/factor)."""
+    if length < factor:
+        raise DomainError(
+            f"frame set too short: {length} envelope samples < downsample factor {factor}"
+        )
+    return slice(factor - 1, factor * (length // factor), factor)
 
 
 def downsample(e: np.ndarray, factor: int) -> np.ndarray:
@@ -149,12 +153,7 @@ def downsample(e: np.ndarray, factor: int) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1:
         raise DimensionError("downsample input must be 1-D")
-    if e.size < factor:
-        raise DomainError(
-            f"frame set too short: {e.size} envelope samples < downsample factor {factor}"
-        )
-    count = e.size // factor
-    return e[factor - 1 : factor * count : factor].copy()
+    return e[_kept_samples(e.size, factor)].copy()
 
 
 def remove_dc(v: np.ndarray) -> np.ndarray:
@@ -189,15 +188,15 @@ def delta(z: np.ndarray, delta_window: int = 9) -> np.ndarray:
 
 
 def extract_features(raw: FrameSet, cfg: FerasecConfig = FerasecConfig()) -> FeatureMatrix:
-    """Run the full six-row pipeline on a raw frame set."""
+    """Run the full six-row pipeline; rows 1-2 sum only the windows downsampling keeps."""
     if raw.kind is not FrameSetKind.RAW:
         raise DomainError("extract_features expects a raw frame set")
 
-    def envelope_row(fs: FrameSet) -> np.ndarray:
-        return remove_dc(downsample(rms_envelope(vectorize(fs), cfg.window), cfg.downsample))
+    def envelope_row(f: np.ndarray) -> np.ndarray:
+        return remove_dc(_windowed_rms(f, cfg.window, _kept_samples(f.size, cfg.downsample)))
 
-    row1 = envelope_row(raw)
-    row2 = envelope_row(reduce_frameset(raw, cfg.alpha))
+    row1 = envelope_row(vectorize(raw))
+    row2 = envelope_row(vectorize(reduce_frameset(raw, cfg.alpha)))
     row3 = delta(row1, cfg.delta_window)
     row4 = delta(row2, cfg.delta_window)
     row5 = delta(row3, cfg.delta_window)

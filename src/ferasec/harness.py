@@ -260,11 +260,12 @@ def loocv(
     reps_per_class = manifest.reps_per_class
 
     started = time.perf_counter()
+    # Fold jobs validate ``fast``/``fast_groups`` before any item is featurized.
+    jobs = None if method == "dtw" else _fold_jobs(manifest.entries, seed, fast, fast_groups)
     features = item_features(manifest, method, ferasec_cfg)
-    if method == "dtw":
+    if jobs is None:
         records = _dtw_folds(manifest, features, dtw_cfg)
     else:
-        jobs = _fold_jobs(manifest.entries, seed, fast, fast_groups)
         try:
             records = _hmm_folds(manifest.entries, features, hmm_cfg, jobs)
         except TrainingError as exc:

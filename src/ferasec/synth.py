@@ -329,7 +329,10 @@ def parse_scripts_text(text: str) -> list[GestureScript]:
         if header:
             flush()
             label = header.group("label").strip()
-            duration = float(header.group("duration"))
+            try:
+                duration = float(header.group("duration"))
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad duration in {line!r}") from None
             continue
         if label is None:
             raise FormatError(f"line {lineno}: reflector before any [label] header")
@@ -339,13 +342,13 @@ def parse_scripts_text(text: str) -> list[GestureScript]:
                 f"line {lineno}: expected 'base; bump(...)*; reflectivity', got {line!r}"
             )
         bump_field = parts[1].strip()
-        bumps = tuple(
-            GestureBump(float(c), float(w), float(a))
-            for c, w, a in _BUMP_RE.findall(bump_field)
-        )
-        if bump_field and not bumps:
+        if _BUMP_RE.sub("", bump_field).strip():
             raise FormatError(f"line {lineno}: malformed bump() expression in {bump_field!r}")
         try:
+            bumps = tuple(
+                GestureBump(float(c), float(w), float(a))
+                for c, w, a in _BUMP_RE.findall(bump_field)
+            )
             reflectors.append(
                 Reflector(float(parts[0]), bumps, float(parts[2]))
             )

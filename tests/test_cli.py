@@ -263,6 +263,25 @@ class TestMalformedInput:
             ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
         )
 
+    def test_malformed_scripts(self, tmp_path, capsys):
+        bad = tmp_path / "scripts.txt"
+        bad.write_text(SCRIPTS_TEXT.replace("duration=0.45", "duration=1.2.3", 1), encoding="utf-8")
+        self.assert_exit_2(
+            ["generate", "--scripts", str(bad), "--reps", "2", "--out", str(tmp_path / "c")],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("flags", [["--alpha", "1.5"], ["--window", "3"]])
+    def test_bad_recipe_rejected_for_hmm_classify(self, tmp_path, capsys, flags):
+        model = tmp_path / "model.hmm"
+        store_model(zero_model(), model)
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        self.assert_exit_2(
+            ["classify", "--method", "hmm", "--model", str(model), "--test", str(feats), *flags],
+            capsys,
+        )
+
     def test_inconsistent_model_layers(self, tmp_path, capsys):
         model = zero_model()
         # Layer 1 fan-in 5 against layer 0 fan-out 4; only a writer that

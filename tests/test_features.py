@@ -80,6 +80,13 @@ class TestRmsEnvelope:
             got = rms_envelope(f, window)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
+    def test_matches_naive_reference_across_wide_dynamic_range(self):
+        # A loud segment next to a quiet one: a window sum taken as the
+        # difference of two running sums loses the quiet windows.
+        for loud, quiet in ((100.0, 0.01), (1e4, 1e-4)):
+            f = np.concatenate((np.full(2000, loud), np.full(2000, quiet)))
+            np.testing.assert_allclose(rms_envelope(f, 400), naive_rms(f, 400), rtol=1e-12)
+
     def test_bound_and_nonnegativity(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -201,6 +208,26 @@ class TestExtractFeatures:
         np.testing.assert_allclose(
             matrix.values[3], naive_delta(staged, 9), rtol=1e-9, atol=1e-7
         )
+
+    def test_envelope_rows_equal_staged_pipeline(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            m = int(rng.integers(2, 40))
+            n = int(rng.integers(2, 40))
+            # Windows are often wider than the factor.  They stay narrower
+            # than twice the sample count: beyond that every window covers
+            # the whole set, the envelope is constant and FeatureMatrix's
+            # DC check rejects the rounding residue of remove_dc.
+            cfg = FerasecConfig(
+                window=2 * int(rng.integers(1, min(60, m * n))),
+                downsample=int(rng.choice([1, int(rng.integers(1, m * n + 1))])),
+            )
+            fs = FrameSet(rng.uniform(0, 100, (m, n)))
+            matrix = extract_features(fs, cfg)
+            for row, staged_input in ((0, fs), (1, reduce_frameset(fs, cfg.alpha))):
+                envelope = rms_envelope(vectorize(staged_input), cfg.window)
+                staged = remove_dc(downsample(envelope, cfg.downsample))
+                assert np.array_equal(matrix.values[row], staged)
 
     def test_row_ordering_deltas(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ferasec import harness
 from ferasec.errors import DomainError
 from ferasec.frames import CorpusManifest
 from ferasec.harness import (
@@ -152,8 +153,14 @@ class TestHmmLoocv:
         for rec in report2.folds:
             assert rec.predicted == by_id[rec.item_id]
 
-    def test_fast_groups_validation(self, tiny_corpus):
-        # Too few splits, and splits without fast LOOCV.
+    def test_fast_groups_validation(self, tiny_corpus, monkeypatch):
+        # Too few splits, and splits without fast LOOCV, are rejected
+        # before any item is featurized.
+        calls = []
+        real = harness.extract_features
+        monkeypatch.setattr(
+            harness, "extract_features", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
         for fast, groups in ((True, 1), (False, 2)):
             with pytest.raises(DomainError, match="splits"):
                 loocv(
@@ -164,6 +171,7 @@ class TestHmmLoocv:
                     fast=fast,
                     fast_groups=groups,
                 )
+        assert calls == []
 
     def test_threads_env_does_not_change_results(self, tiny_corpus, monkeypatch):
         kwargs = dict(seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)

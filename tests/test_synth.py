@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ferasec.errors import DomainError, FormatError, GenerationError
 from ferasec.frames import FrameSetKind, load_frameset, load_manifest
@@ -184,6 +185,19 @@ class TestVowel8Preset:
             assert fs.m >= 5
 
 
+# Script-shaped text: a header, then headers, reflector lines with
+# numeric or junk fields, and arbitrary lines, so that generated inputs
+# reach every branch of the parser.
+_FIELD = st.one_of(st.sampled_from(["0.3", "1", "0", "-1", "nan", "x", ""]), st.text(max_size=3))
+_BUMPS = st.lists(st.one_of(st.builds("bump({},{},{})".format, _FIELD, _FIELD, _FIELD), _FIELD))
+_HEADER = st.builds(
+    "[{}] duration={}".format, st.text(max_size=3), st.text("0123456789.", min_size=1, max_size=4)
+)
+_REFLECTOR = st.builds("{}; {}; {}".format, _FIELD, _BUMPS.map(" ".join), _FIELD)
+_LINES = st.lists(st.one_of(_HEADER, _REFLECTOR, st.text()), max_size=6).map("\n".join)
+SCRIPT_TEXT = st.builds("{}\n{}".format, _HEADER, _LINES)
+
+
 class TestScriptParsing:
     TEXT = """
     # articulator demo
@@ -215,6 +229,23 @@ class TestScriptParsing:
     def test_malformed_bump_rejected(self):
         with pytest.raises(FormatError, match="bump"):
             parse_scripts_text("[x] duration=1.0\n0.3; bump(1,2); 0.9\n")
+        for field in ("bump(x, 0.09, 0.065)", "bump(0.1,0.09,0.06) junk", "bump(0.1,0,0.06)"):
+            with pytest.raises(FormatError, match="^line 2: "):
+                parse_scripts_text(f"[x] duration=1.0\n0.3; {field}; 0.9\n")
+
+    def test_malformed_duration_rejected(self):
+        for duration in ("1.2.3", "."):
+            with pytest.raises(FormatError, match="^line 1: "):
+                parse_scripts_text(f"[x] duration={duration}\n0.3; ; 0.9\n")
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(SCRIPT_TEXT)
+    def test_arbitrary_text_parses_or_raises_format_error(self, text):
+        try:
+            scripts = parse_scripts_text(text)
+        except FormatError:
+            return
+        assert scripts and all(isinstance(s, GestureScript) for s in scripts)
 
     def test_wrong_field_count_rejected(self):
         with pytest.raises(FormatError, match="expected"):
