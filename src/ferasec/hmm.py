@@ -192,12 +192,48 @@ def splice_context(features, window: int = 7) -> np.ndarray:
     values = np.asarray(features, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
         raise DimensionError("features must be a non-empty 2-D array (dims x time)")
-    k = values.shape[1]
+    return _gather_spliced(values.T, _context_index(values.shape[1], window))
+
+
+def _context_index(length: int, window: int) -> np.ndarray:
+    """(length, window) column indices of each spliced row: ``k - w//2 ..
+    k + w//2`` clipped to the sequence, so edge columns replicate."""
     half = window // 2
-    offsets = np.arange(-half, half + 1)
-    idx = np.clip(np.arange(k)[:, None] + offsets[None, :], 0, k - 1)
-    # (dims, K, window) -> (K, window, dims) -> (K, window*dims)
-    return values[:, idx].transpose(1, 2, 0).reshape(k, window * values.shape[0])
+    return np.clip(np.arange(length)[:, None] + np.arange(-half, half + 1), 0, length - 1)
+
+
+def _gather_spliced(cols: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Spliced rows from columns ``cols`` (rows, dims) and the (n, window)
+    column indices of each row: (n, window, dims) -> (n, window*dims)."""
+    return cols[index].reshape(index.shape[0], index.shape[1] * cols.shape[1])
+
+
+def _spliced_column_stats(
+    cols: np.ndarray, context: np.ndarray, blocks: Sequence[slice]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of every spliced column, with rows
+    ``context[block]`` of the design matrix gathered one block at a time.
+
+    NumPy sums axis 0 of a C-ordered matrix one row after another, so
+    folding each block into the running sum the same way reproduces
+    ``x.mean(axis=0)`` and ``x.std(axis=0)`` of the stacked matrix ``x``
+    bit for bit.  Deviations below 1e-8 become 1.
+    """
+    n = context.shape[0]
+    if context.shape[1] * cols.shape[1] == 1:
+        blocks = [slice(None)]  # a one-column matrix is summed pairwise, in one go
+
+    def total(parts) -> np.ndarray:
+        acc = None
+        for part in parts:
+            acc = np.add.reduce(part if acc is None else np.vstack([acc, part]), axis=0)
+        return acc
+
+    mean = total(_gather_spliced(cols, context[sl]) for sl in blocks) / n
+    var = total(np.square(_gather_spliced(cols, context[sl]) - mean) for sl in blocks) / n
+    std = np.sqrt(var)
+    std[std < 1e-8] = 1.0
+    return mean, std
 
 
 def flat_start_align(length: int, states: int = 5) -> np.ndarray:
@@ -377,26 +413,33 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     b = len(labels)
     class_indices = [labels.index(label) for label in labels_per_item]
 
-    spliced = [splice_context(m, cfg.context_window) for m in matrices]
-    x_all = np.vstack(spliced)
-    mean = x_all.mean(axis=0)
-    std = x_all.std(axis=0)
-    std[std < 1e-8] = 1.0
-    x_all = (x_all - mean) / std
-    seq_slices = []
+    # The spliced design matrix is never built.  Training keeps the
+    # columns of every sequence stacked once, (rows, dims), plus the
+    # (rows, window) column indices of each spliced row, and gathers
+    # spliced rows on demand: a mini-batch, or one sequence at a time.
+    window = cfg.context_window
+    cols = np.vstack([m.T for m in matrices])
+    seq_slices, index_blocks = [], []
     start = 0
-    for sp in spliced:
-        seq_slices.append(slice(start, start + sp.shape[0]))
-        start += sp.shape[0]
+    for m in matrices:
+        seq_slices.append(slice(start, start + m.shape[1]))
+        index_blocks.append(_context_index(m.shape[1], window) + start)
+        start += m.shape[1]
+    context = np.vstack(index_blocks)
+    n_total = start
+
+    mean, std = _spliced_column_stats(cols, context, seq_slices)
+
+    def standardized(rows) -> np.ndarray:
+        return (_gather_spliced(cols, context[rows]) - mean) / std
 
     rng = np.random.default_rng(cfg.seed)
-    spec = MlpSpec(feature_dim * cfg.context_window, cfg.hidden, b * s)
+    spec = MlpSpec(feature_dim * window, cfg.hidden, b * s)
     params = mlp_init(spec, rng)
     alignments = [flat_start_align(m.shape[1], s) for m in matrices]
     transitions = np.zeros((b, s, s))
     priors = np.full(b * s, 1.0 / (b * s))
 
-    n_total = x_all.shape[0]
     loss_history: list[float] = []
     for rnd in range(cfg.realignment_rounds):
         targets = np.empty(n_total, dtype=np.intp)
@@ -410,15 +453,14 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
             epoch_loss = 0.0
             for lo in range(0, n_total, cfg.batch_size):
                 batch = perm[lo : lo + cfg.batch_size]
-                loss, grads = mlp_backprop(params, x_all[batch], targets[batch])
+                loss, grads = mlp_backprop(params, standardized(batch), targets[batch])
                 if not np.isfinite(loss):
                     raise NumericError(
                         f"non-finite training loss (round {rnd + 1}, epoch {epoch + 1})"
                     )
-                params = tuple(
-                    (w - lr * gw, v - lr * gb)
-                    for (w, v), (gw, gb) in zip(params, grads)
-                )
+                for (w, v), (gw, gb) in zip(params, grads):
+                    w -= lr * gw
+                    v -= lr * gb
                 epoch_loss += loss * batch.size
             epoch_loss /= n_total
             loss_history.append(epoch_loss)
@@ -435,7 +477,7 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
                 log_trans = np.log(transitions)
             new_alignments = []
             for c, sl in zip(class_indices, seq_slices):
-                logpost = mlp_log_posteriors(params, x_all[sl])
+                logpost = mlp_log_posteriors(params, standardized(sl))
                 emis = _scaled_log_likelihoods(logpost, priors, c, s)
                 _, path = _viterbi_core(emis, log_trans[c])
                 new_alignments.append(path)
@@ -560,7 +602,10 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         size = count * 4
         if pos + size > len(blob):
             raise FormatError("model file truncated", offset=pos)
-        arr = np.frombuffer(view, dtype="<f4", count=count, offset=pos).astype(np.float64)
+        # A signalling NaN payload would warn in the cast; every non-finite
+        # value is rejected after loading instead.
+        with np.errstate(invalid="ignore"):
+            arr = np.frombuffer(view, dtype="<f4", count=count, offset=pos).astype(np.float64)
         pos += size
         return arr
 

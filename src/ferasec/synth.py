@@ -12,6 +12,7 @@ calibrated to human articulation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,10 @@ class GestureBump:
     amplitude_m: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.center_s, self.width_s, self.amplitude_m))):
+            raise DomainError(
+                f"bump fields must be finite, got ({self.center_s}, {self.width_s}, {self.amplitude_m})"
+            )
         if not self.width_s > 0.0:
             raise DomainError(f"bump width must be positive, got {self.width_s}")
 
@@ -65,8 +70,8 @@ class Reflector:
     reflectivity: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.base_distance_m > 0.0:
-            raise DomainError("base distance must be positive")
+        if not (math.isfinite(self.base_distance_m) and self.base_distance_m > 0.0):
+            raise DomainError(f"base distance must be finite and positive, got {self.base_distance_m}")
         if not 0.0 < self.reflectivity <= 1.0:
             raise DomainError(f"reflectivity must lie in (0, 1], got {self.reflectivity}")
         object.__setattr__(self, "bumps", tuple(self.bumps))
@@ -92,8 +97,8 @@ class GestureScript:
     def __post_init__(self) -> None:
         if not self.label:
             raise DomainError("script label must be non-empty")
-        if not self.duration_s > 0.0:
-            raise DomainError("duration must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
+            raise DomainError(f"duration must be finite and positive, got {self.duration_s}")
         object.__setattr__(self, "reflectors", tuple(self.reflectors))
 
 

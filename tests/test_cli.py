@@ -237,7 +237,9 @@ class TestMalformedInput:
     def assert_exit_2(self, argv, capsys):
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        return err
 
     def test_non_utf8_manifest(self, tmp_path, capsys):
         bad = tmp_path / "manifest.tsv"
@@ -270,6 +272,16 @@ class TestMalformedInput:
             ["generate", "--scripts", str(bad), "--reps", "2", "--out", str(tmp_path / "c")],
             capsys,
         )
+
+    @pytest.mark.parametrize("bump", ["bump(nan, 0.05, 0.10)", "bump(0.1, 0.05, inf)"])
+    def test_non_finite_bump_names_its_line(self, tmp_path, capsys, bump):
+        bad = tmp_path / "scripts.txt"
+        bad.write_text(SCRIPTS_TEXT.replace("bump(0.30, 0.05, -0.10)", bump, 1), encoding="utf-8")
+        err = self.assert_exit_2(
+            ["generate", "--scripts", str(bad), "--reps", "2", "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert "line 4: bump fields must be finite" in err
 
     @pytest.mark.parametrize("flags", [["--alpha", "1.5"], ["--window", "3"]])
     def test_bad_recipe_rejected_for_hmm_classify(self, tmp_path, capsys, flags):

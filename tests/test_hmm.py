@@ -1,13 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ferasec.errors import DimensionError, DomainError, NumericError, TrainingError
+from ferasec.errors import (
+    DimensionError,
+    DomainError,
+    FerasecError,
+    NumericError,
+    TrainingError,
+)
 from ferasec.hmm import (
     HmmTrainingConfig,
     MlpSpec,
     TrainedHmmModel,
+    _context_index,
+    _gather_spliced,
+    _spliced_column_stats,
     _viterbi_core,
     classify,
     flat_start_align,
@@ -72,6 +83,60 @@ class TestSpliceContext:
     def test_even_window_rejected(self):
         with pytest.raises(DomainError):
             splice_context(np.zeros((6, 4)), 6)
+
+
+def stacked(matrices, window):
+    """Columns stacked (rows, dims), spliced-row column indices and the
+    row slice of each sequence, laid out as ``train`` lays them out."""
+    cols = np.vstack([m.T for m in matrices])
+    starts = np.cumsum([0] + [m.shape[1] for m in matrices])
+    context = np.vstack([_context_index(m.shape[1], window) + lo for m, lo in zip(matrices, starts)])
+    return cols, context, [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+
+
+def random_sequences(rng, window):
+    """A few sequences with one shared row count, one of length 1 and one
+    shorter than the window among them, with column scales far apart."""
+    dims = int(rng.integers(1, 6))
+    lengths = [1, max(1, window - 2), *rng.integers(1, 3 * window + 2, size=int(rng.integers(0, 4)))]
+    rng.shuffle(lengths)
+    scale = 10.0 ** rng.integers(-3, 4, size=(dims, 1))
+    return [rng.normal(size=(dims, k)) * scale + rng.normal(size=(dims, 1)) for k in lengths]
+
+
+class TestSplicedGather:
+    WINDOWS = (1, 3, 5, 7, 9)
+
+    def test_gather_equals_splice_context(self):
+        rng = np.random.default_rng(40)
+        for window in self.WINDOWS * 8:
+            matrices = random_sequences(rng, window)
+            cols, context, slices = stacked(matrices, window)
+            for m, sl in zip(matrices, slices):
+                assert np.array_equal(_gather_spliced(cols, context[sl]), splice_context(m, window))
+
+    def test_streamed_statistics_equal_full_matrix(self):
+        rng = np.random.default_rng(41)
+        for window in self.WINDOWS * 8:
+            matrices = random_sequences(rng, window)
+            if rng.random() < 0.3:
+                matrices[0][0] = 2.5  # a constant column, below the deviation floor
+                for m in matrices[1:]:
+                    m[0] = 2.5
+            full = np.vstack([splice_context(m, window) for m in matrices])
+            mean, std = _spliced_column_stats(*stacked(matrices, window))
+            expected_std = full.std(axis=0)
+            expected_std[expected_std < 1e-8] = 1.0
+            assert np.array_equal(mean, full.mean(axis=0))
+            assert np.array_equal(std, expected_std)
+
+    def test_one_column_statistics_equal_full_matrix(self):
+        rng = np.random.default_rng(42)
+        matrices = [rng.normal(size=(1, k)) * 1e3 for k in (40, 3, 57, 1, 90)]
+        full = np.vstack([splice_context(m, 1) for m in matrices])
+        mean, std = _spliced_column_stats(*stacked(matrices, 1))
+        assert np.array_equal(mean, full.mean(axis=0))
+        assert np.array_equal(std, full.std(axis=0))
 
 
 class TestFlatStartAlign:
@@ -275,6 +340,24 @@ class TestTraining:
         assert model2.labels == ("flat", "ramp")
 
 
+class TestTrainingMemory:
+    def test_peak_stays_below_one_spliced_design_matrix(self):
+        """Training on a raw-frame-shaped corpus gathers spliced rows on
+        demand; it never holds the float64 design matrix, let alone the
+        standardized copies of it."""
+        rng = np.random.default_rng(30)
+        corpus = [(rng.normal(size=(64, 300)), f"c{i % 4}") for i in range(16)]
+        cfg = HmmTrainingConfig(hidden=(32,), realignment_rounds=2, epochs_per_round=1, seed=3)
+        design_bytes = cfg.context_window * 16 * 300 * 64 * 8
+        tracemalloc.start()
+        try:
+            train(corpus, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes
+
+
 @pytest.fixture(scope="module")
 def model():
     return train(toy_corpus(np.random.default_rng(17)), TOY_CFG)
@@ -399,17 +482,68 @@ class TestModelPersistence:
         assert err.value.offset == start
 
 
+def tiny_model_kwargs():
+    cfg = HmmTrainingConfig(hidden=(4,), states_per_class=2, context_window=3)
+    return dict(
+        labels=("a", "b"),
+        transitions=np.tile(np.array([[0.5, 0.5], [0.0, 1.0]]), (2, 1, 1)),
+        priors=np.full(4, 0.25),
+        weights=(np.zeros((18, 4)), np.zeros((4, 4))),
+        biases=(np.zeros(4), np.zeros(4)),
+        config=cfg,
+    )
+
+
+def _edited(blob, edits, keep, tail):
+    out = bytearray(blob)
+    for pos, chunk in edits:
+        pos %= len(out) - len(chunk) + 1
+        out[pos : pos + len(chunk)] = chunk
+    return bytes(out[:keep]) + tail
+
+
+# Little-endian float32 / uint32 words worth planting: 0, 1, huge, -1,
+# +inf, a quiet and a signalling NaN, the largest float32.
+_WORDS = st.sampled_from(
+    [bytes.fromhex(h) for h in ("00000000", "01000000", "ffffffff", "000080bf",
+                                "0000807f", "0000c07f", "0100807f", "ffff7f7f")]
+)
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.one_of(st.binary(min_size=1, max_size=1), _WORDS)),
+    max_size=6,
+)
+
+
+class TestLoadModelProperty:
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("load_model") / "model.hmm"
+        store_model(TrainedHmmModel(**tiny_model_kwargs()), path)
+        return path, path.read_bytes()
+
+    # Arbitrary bytes, or a valid model with a few bytes or words
+    # overwritten, cut short or extended, so the parser gets past the
+    # magic and the headers.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(
+        noise=st.one_of(st.none(), st.binary(max_size=64)),
+        edits=_EDITS,
+        keep=st.integers(0, 1000),
+        tail=st.binary(max_size=8),
+    )
+    def test_any_bytes_load_or_raise_ferasec_error(self, stored, noise, edits, keep, tail):
+        path, valid = stored
+        path.write_bytes(_edited(valid, edits, keep, tail) if noise is None else noise)
+        try:
+            model = load_model(path)
+        except FerasecError:
+            return
+        assert isinstance(model, TrainedHmmModel)
+
+
 class TestModelValidation:
     def base_kwargs(self):
-        cfg = HmmTrainingConfig(hidden=(4,), states_per_class=2, context_window=3)
-        return dict(
-            labels=("a", "b"),
-            transitions=np.tile(np.array([[0.5, 0.5], [0.0, 1.0]]), (2, 1, 1)),
-            priors=np.full(4, 0.25),
-            weights=(np.zeros((18, 4)), np.zeros((4, 4))),
-            biases=(np.zeros(4), np.zeros(4)),
-            config=cfg,
-        )
+        return tiny_model_kwargs()
 
     def test_forbidden_transition_rejected(self):
         kwargs = self.base_kwargs()

@@ -229,7 +229,8 @@ class TestScriptParsing:
     def test_malformed_bump_rejected(self):
         with pytest.raises(FormatError, match="bump"):
             parse_scripts_text("[x] duration=1.0\n0.3; bump(1,2); 0.9\n")
-        for field in ("bump(x, 0.09, 0.065)", "bump(0.1,0.09,0.06) junk", "bump(0.1,0,0.06)"):
+        for field in ("bump(x, 0.09, 0.065)", "bump(0.1,0.09,0.06) junk", "bump(0.1,0,0.06)",
+                      "bump(nan, 0.05, 0.10)", "bump(0.1, inf, 0.10)", "bump(0.1, 0.05, -inf)"):
             with pytest.raises(FormatError, match="^line 2: "):
                 parse_scripts_text(f"[x] duration=1.0\n0.3; {field}; 0.9\n")
 
@@ -254,6 +255,18 @@ class TestScriptParsing:
     def test_empty_text_rejected(self):
         with pytest.raises(FormatError, match="no scripts"):
             parse_scripts_text("# nothing here\n")
+
+
+class TestGestureValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        for fields in ((bad, 0.05, 0.1), (0.1, bad, 0.1), (0.1, 0.05, bad)):
+            with pytest.raises(DomainError, match="finite"):
+                GestureBump(*fields)
+        with pytest.raises(DomainError, match="finite"):
+            Reflector(bad)
+        with pytest.raises(DomainError, match="finite"):
+            GestureScript("x", (), bad)
 
 
 class TestSimConfigValidation:
