@@ -7,10 +7,6 @@ length ``K = floor(M*N / D)``:
 2. The same pipeline applied to the clutter-reduced frame set.
 3, 4. Regression-weighted local slopes (deltas) of rows 1 and 2.
 5, 6. Deltas of rows 3 and 4 (second derivatives).
-
-Length normalization and circular alignment are companion utilities for
-visual comparison of features across repeated utterances; the
-classifiers consume features at native length.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter import DEFAULT_ALPHA, reduce_frameset
 from .errors import DimensionError, DomainError, FormatError
-from .frames import FrameSet, FrameSetKind, pearson_correlation
+from .frames import FrameSet, FrameSetKind
 
 __all__ = [
     "FerasecConfig",
@@ -35,8 +31,6 @@ __all__ = [
     "remove_dc",
     "delta",
     "extract_features",
-    "normalize_length",
-    "circular_align",
     "store_features",
     "load_features",
 ]
@@ -164,7 +158,7 @@ def remove_dc(v: np.ndarray) -> np.ndarray:
     return v - v.mean()
 
 
-def delta(z: np.ndarray, delta_window: int = 9) -> np.ndarray:
+def delta(z: np.ndarray, delta_window: int) -> np.ndarray:
     """Regression-weighted local slope over a symmetric window.
 
     ``out_k = sum_l l * z[k+l] / sum_l l**2`` for ``l`` in
@@ -202,54 +196,6 @@ def extract_features(raw: FrameSet, cfg: FerasecConfig = FerasecConfig()) -> Fea
     row5 = delta(row3, cfg.delta_window)
     row6 = delta(row4, cfg.delta_window)
     return FeatureMatrix(np.vstack((row1, row2, row3, row4, row5, row6)))
-
-
-def normalize_length(seq: np.ndarray, target: int = 100) -> np.ndarray:
-    """Resample a sequence to ``target`` points, preserving endpoints.
-
-    Shorter sequences are linearly interpolated at uniformly spaced
-    positions; longer ones are sampled at uniformly spaced rounded
-    indices.  Used to compare features across utterances of different
-    durations.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 1:
-        raise DimensionError("normalize_length input must be 1-D")
-    if seq.size < 2:
-        raise DomainError(f"need at least 2 samples to resample, got {seq.size}")
-    if target < 2:
-        raise DomainError(f"target length must be >= 2, got {target}")
-    k = seq.size
-    if k == target:
-        return seq.copy()
-    positions = np.linspace(0.0, k - 1.0, target)
-    if k < target:
-        return np.interp(positions, np.arange(k), seq)
-    idx = np.rint(positions).astype(np.intp)
-    return seq[idx].copy()
-
-
-def circular_align(seq: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, int]:
-    """Circularly shift ``seq`` to maximize its correlation with ``reference``.
-
-    Searches all T rotations exhaustively and returns
-    ``(rolled sequence, shift)`` where ``rolled[t] == seq[(t + shift) % T]``.
-    Ties break toward the smallest shift.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if seq.ndim != 1 or ref.ndim != 1:
-        raise DimensionError("circular_align inputs must be 1-D")
-    if seq.size != ref.size:
-        raise DimensionError(f"length mismatch: {seq.size} vs {ref.size}")
-    best_shift = 0
-    best_rho = -np.inf
-    for shift in range(seq.size):
-        rho = pearson_correlation(np.roll(seq, -shift), ref)
-        if rho > best_rho:
-            best_rho = rho
-            best_shift = shift
-    return np.roll(seq, -best_shift), best_shift
 
 
 def store_features(matrix: FeatureMatrix | np.ndarray, path: str | Path) -> None:

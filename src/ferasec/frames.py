@@ -35,8 +35,6 @@ __all__ = [
     "FrameSet",
     "ManifestEntry",
     "CorpusManifest",
-    "fast_time_to_distance",
-    "slow_time_to_seconds",
     "store_frameset",
     "load_frameset",
     "pearson_correlation",
@@ -151,26 +149,6 @@ class FrameSet:
         )
 
 
-def fast_time_to_distance(n: int, bin_count: int, range_m: float) -> float:
-    """Map a 1-based fast-time index to meters from the antenna: ``(n/N) * range``."""
-    if bin_count < 1:
-        raise DomainError(f"bin count must be positive, got {bin_count}")
-    if not 1 <= n <= bin_count:
-        raise DomainError(f"fast-time index {n} outside 1..{bin_count}")
-    if not range_m > 0.0:
-        raise DomainError(f"range_m must be positive, got {range_m}")
-    return (n / bin_count) * range_m
-
-
-def slow_time_to_seconds(m: int, frame_rate_hz: float) -> float:
-    """Map a 1-based slow-time index to elapsed seconds: ``m / frame_rate``."""
-    if m < 1:
-        raise DomainError(f"slow-time index must be >= 1, got {m}")
-    if not frame_rate_hz > 0.0:
-        raise DomainError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
-    return m / frame_rate_hz
-
-
 def store_frameset(fs: FrameSet, path: str | Path) -> None:
     """Write ``fs`` in the binary frame-set format (see module docstring).
 
@@ -247,7 +225,7 @@ def pearson_correlation(p: Sequence[float] | np.ndarray, q: Sequence[float] | np
     return float(min(1.0, max(-1.0, rho)))
 
 
-def positioning_check(reference: Frame, live: Frame, threshold: float = 0.95) -> tuple[float, bool]:
+def positioning_check(reference: Frame, live: Frame, threshold: float) -> tuple[float, bool]:
     """Correlate a live frame against the preset-position reference frame.
 
     Returns ``(rho, passed)`` with ``passed == (rho > threshold)``.  The

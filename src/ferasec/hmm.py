@@ -56,8 +56,8 @@ class MlpSpec:
     """Layer sizes of the posterior network: rectifier hiddens, softmax output."""
 
     input_dim: int
-    hidden: tuple[int, ...] = (256, 256, 256)
-    output_dim: int = 40
+    hidden: tuple[int, ...]
+    output_dim: int
 
     def __post_init__(self) -> None:
         dims = (self.input_dim, *self.hidden, self.output_dim)
@@ -97,6 +97,8 @@ class HmmTrainingConfig:
             raise DomainError("learning_rate must be positive")
         if not 0.0 < self.prior_floor < 1.0:
             raise DomainError("prior_floor must lie in (0, 1)")
+        if any(width < 1 for width in self.hidden):
+            raise DomainError(f"hidden layer widths must be >= 1, got {tuple(self.hidden)}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
 
@@ -118,6 +120,9 @@ class TrainedHmmModel:
         labels = tuple(self.labels)
         if not labels:
             raise DomainError("model must cover at least one class")
+        if len(set(labels)) != len(labels):
+            repeated = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise DomainError(f"repeated class label {repeated!r}")
         s = self.config.states_per_class
         b = len(labels)
         trans = np.asarray(self.transitions, dtype=np.float64).copy()
@@ -183,7 +188,7 @@ def _check_left_to_right(matrix: np.ndarray) -> None:
         raise DomainError("each transition row must sum to 1")
 
 
-def splice_context(features, window: int = 7) -> np.ndarray:
+def splice_context(features, window: int) -> np.ndarray:
     """Stack each column with its neighbors: output row ``k`` concatenates
     columns ``k - w//2 .. k + w//2``, replicating the edge columns where
     the window leaves the sequence."""
@@ -236,7 +241,7 @@ def _spliced_column_stats(
     return mean, std
 
 
-def flat_start_align(length: int, states: int = 5) -> np.ndarray:
+def flat_start_align(length: int, states: int) -> np.ndarray:
     """Uniform initial segmentation: 0-based state ``ceil((k+1)*S/K) - 1``
     at 0-based index ``k``.  Non-decreasing and occupies every state."""
     if states < 1:
@@ -629,15 +634,19 @@ def load_model(path: str | Path) -> TrainedHmmModel:
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}", offset=4)
     seed, rounds, epochs, batch, lr = take("<QIIIf")
-    labels = []
+    labels, seen = [], set()
     for _ in range(b):
         (length,) = take("<I")
         if pos + length > len(blob):
             raise FormatError("model file truncated in label table", offset=pos)
         try:
-            labels.append(bytes(view[pos : pos + length]).decode("utf-8"))
+            label = bytes(view[pos : pos + length]).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError("class label is not UTF-8", offset=pos + exc.start) from None
+        if label in seen:
+            raise FormatError(f"repeated class label {label!r}", offset=pos)
+        labels.append(label)
+        seen.add(label)
         pos += length
     transitions = take_stochastic((b, s, s), "each transition row")
     priors = take_stochastic((b * s,), "the state priors")
@@ -645,6 +654,8 @@ def load_model(path: str | Path) -> TrainedHmmModel:
     hidden = []
     for i in range(layer_count):
         fan_in, fan_out = take("<II")
+        if fan_in == 0 or fan_out == 0:
+            raise FormatError(f"layer {i} has a zero fan-in or fan-out", offset=pos - 8)
         weights.append(take_floats(fan_in * fan_out).reshape(fan_in, fan_out))
         biases.append(take_floats(fan_out))
         if i < layer_count - 1:

@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import DomainError, FormatError, GenerationError
 from .frames import (
+    DEFAULT_BIN_COUNT,
+    DEFAULT_FRAME_RATE_HZ,
+    DEFAULT_RANGE_M,
     CorpusManifest,
     FrameSet,
     FrameSetKind,
@@ -106,9 +109,9 @@ class GestureScript:
 class SimConfig:
     """Radar and scene parameters for rendering."""
 
-    frame_rate_hz: float = 200.0
-    bin_count: int = 256
-    range_m: float = 1.0
+    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
+    bin_count: int = DEFAULT_BIN_COUNT
+    range_m: float = DEFAULT_RANGE_M
     pulse_width_bins: float = 2.0
     clutter_profile: np.ndarray | None = None
     noise_sigma: float = 0.0
@@ -153,7 +156,7 @@ class SimConfig:
         object.__setattr__(self, "clutter_profile", profile)
 
 
-def default_clutter_profile(bin_count: int = 256) -> np.ndarray:
+def default_clutter_profile(bin_count: int) -> np.ndarray:
     """Static background: three fixed Gaussian humps, peak amplitude <= 60."""
     bins = np.arange(1, bin_count + 1, dtype=np.float64)
     humps = (

@@ -231,6 +231,16 @@ def zero_model():
     )
 
 
+def _label_table_offset():
+    """The label table follows the magic and both model headers."""
+    return 4 + struct.calcsize("<IIIII") + struct.calcsize("<QIIIf")
+
+
+def _transitions_offset(model):
+    """The transition matrices follow the label table."""
+    return _label_table_offset() + sum(4 + len(label) for label in model.labels)
+
+
 class TestMalformedInput:
     """Malformed files end as ``error: ...`` with exit 2, never a traceback."""
 
@@ -306,14 +316,43 @@ class TestMalformedInput:
         self.assert_exit_2(
             ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
         )
+        # Zero-width layers: with a hidden width of 0 the model would score
+        # from the output biases alone.  Layer 0's header follows the
+        # priors, layer 1's follows layer 0's weights and biases.
+        for weights, biases, layer in (
+            ((np.zeros((18, 0)), np.zeros((0, 4))), (np.zeros(0), np.zeros(4)), 0),
+            ((np.zeros((18, 4)), np.zeros((4, 0))), (np.zeros(4), np.zeros(0)), 1),
+        ):
+            object.__setattr__(model, "weights", weights)
+            object.__setattr__(model, "biases", biases)
+            store_model(model, path)
+            header = _transitions_offset(model) + 4 * (model.transitions.size + model.priors.size)
+            header += 8 + 4 * (18 * 4 + 4) if layer else 0
+            err = self.assert_exit_2(
+                ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
+            )
+            assert f"layer {layer} has a zero fan-in or fan-out (byte offset {header})" in err
+
+    def test_repeated_label_in_model(self, tmp_path, capsys):
+        model = zero_model()
+        path = tmp_path / "model.hmm"
+        store_model(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"\x02\x00\x00\x00bb", b"\x02\x00\x00\x00aa", 1))
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        err = self.assert_exit_2(
+            ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
+        )
+        # The second label's bytes follow its length prefix.
+        second = _label_table_offset() + 4 + len("aa") + 4
+        assert f"repeated class label 'aa' (byte offset {second})" in err
 
     def test_zero_transition_row_in_model(self, tmp_path, capsys):
         model = zero_model()
         path = tmp_path / "model.hmm"
         store_model(model, path)
-        # Transitions follow the magic, both headers and the label table.
-        start = 4 + struct.calcsize("<IIIII") + struct.calcsize("<QIIIf")
-        start += sum(4 + len(label) for label in model.labels)
+        start = _transitions_offset(model)
         blob = bytearray(path.read_bytes())
         s = model.states_per_class
         blob[start : start + 4 * s] = bytes(4 * s)

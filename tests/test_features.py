@@ -5,7 +5,6 @@ import pytest
 
 from ferasec.clutter import DEFAULT_ALPHA, reduce_frameset
 from ferasec.errors import (
-    DegenerateInputError,
     DimensionError,
     DomainError,
     FormatError,
@@ -13,12 +12,10 @@ from ferasec.errors import (
 from ferasec.features import (
     FeatureMatrix,
     FerasecConfig,
-    circular_align,
     delta,
     downsample,
     extract_features,
     load_features,
-    normalize_length,
     remove_dc,
     rms_envelope,
     store_features,
@@ -322,61 +319,6 @@ class TestFeatureMatrixType:
     def test_asarray_protocol(self):
         matrix = FeatureMatrix(np.zeros((6, 3)))
         assert np.asarray(matrix).shape == (6, 3)
-
-
-class TestNormalizeLength:
-    def test_identity_at_target(self):
-        seq = np.random.default_rng(11).normal(size=100)
-        assert normalize_length(seq, 100).tolist() == seq.tolist()
-
-    def test_two_points_interpolate(self):
-        out = normalize_length(np.array([0.0, 1.0]), 100)
-        assert out.shape == (100,)
-        assert out[0] == 0.0 and out[-1] == 1.0
-        np.testing.assert_allclose(out, np.linspace(0.0, 1.0, 100), atol=1e-12)
-
-    def test_downsampling_ramp_monotone_with_endpoints(self):
-        seq = np.arange(1.0, 151.0)
-        out = normalize_length(seq, 100)
-        assert out.shape == (100,)
-        assert out[0] == 1.0 and out[-1] == 150.0
-        assert np.all(np.diff(out) >= 0.0)
-        # rounded-index oracle
-        idx = np.rint(np.linspace(0, 149, 100)).astype(int)
-        assert out.tolist() == seq[idx].tolist()
-
-    def test_too_short_raises(self):
-        with pytest.raises(DomainError):
-            normalize_length(np.array([1.0]), 100)
-
-
-class TestCircularAlign:
-    def test_self_alignment_returns_zero_shift(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            x = rng.normal(size=int(rng.integers(4, 60)))
-            aligned, shift = circular_align(x, x)
-            assert shift == 0
-            assert aligned.tolist() == x.tolist()
-
-    def test_recovers_rotation(self):
-        rng = np.random.default_rng(13)
-        ref = rng.normal(size=50)
-        seq = np.roll(ref, 7)
-        aligned, shift = circular_align(seq, ref)
-        assert shift == 7
-        assert aligned.tolist() == ref.tolist()
-
-    def test_sinusoid_quarter_period(self):
-        t = np.arange(64)
-        seq = np.sin(2.0 * np.pi * t / 64.0)
-        ref = np.sin(2.0 * np.pi * (t + 16) / 64.0)
-        _, shift = circular_align(seq, ref)
-        assert shift == 16
-
-    def test_constant_raises(self):
-        with pytest.raises(DegenerateInputError):
-            circular_align(np.ones(8), np.arange(8.0))
 
 
 class TestFeaturePersistence:

@@ -16,12 +16,10 @@ from ferasec.frames import (
     FrameSet,
     FrameSetKind,
     ManifestEntry,
-    fast_time_to_distance,
     load_frameset,
     load_manifest,
     pearson_correlation,
     positioning_check,
-    slow_time_to_seconds,
     store_frameset,
     store_manifest,
 )
@@ -35,53 +33,6 @@ def random_raw_frameset(rng, m=None, n=None, **kwargs):
     n = n or int(rng.integers(4, 64))
     data = rng.uniform(0.0, 100.0, size=(m, n)).astype(np.float32)
     return FrameSet(data, **kwargs)
-
-
-class TestFastTimeToDistance:
-    def test_published_bin_example(self):
-        assert fast_time_to_distance(26, 256, 1.0) == pytest.approx(0.1015625, abs=1e-12)
-
-    def test_full_range_bin(self):
-        assert fast_time_to_distance(256, 256, 1.0) == 1.0
-
-    def test_midpoint(self):
-        assert fast_time_to_distance(128, 256, 1.0) == 0.5
-
-    @pytest.mark.parametrize("n", [0, -3, 257])
-    def test_out_of_range_index(self, n):
-        with pytest.raises(DomainError):
-            fast_time_to_distance(n, 256, 1.0)
-
-    def test_strictly_increasing_and_linear(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            total = int(rng.integers(4, 512))
-            range_m = float(rng.uniform(0.1, 5.0))
-            n1 = int(rng.integers(1, total))
-            n2 = int(rng.integers(1, total - n1 + 1))
-            d1 = fast_time_to_distance(n1, total, range_m)
-            d2 = fast_time_to_distance(n2, total, range_m)
-            both = fast_time_to_distance(n1 + n2, total, range_m)
-            assert d1 + d2 == pytest.approx(both, rel=1e-12)
-            if n1 + 1 <= total:
-                assert fast_time_to_distance(n1 + 1, total, range_m) > d1
-
-
-class TestSlowTimeToSeconds:
-    def test_published_frame_example(self):
-        assert slow_time_to_seconds(300, 200.0) == pytest.approx(1.5)
-
-    def test_one_second(self):
-        assert slow_time_to_seconds(200, 200.0) == 1.0
-
-    def test_first_frame(self):
-        assert slow_time_to_seconds(1, 200.0) == 0.005
-
-    def test_bad_inputs(self):
-        with pytest.raises(DomainError):
-            slow_time_to_seconds(0, 200.0)
-        with pytest.raises(DomainError):
-            slow_time_to_seconds(5, 0.0)
 
 
 class TestFrameSetType:
@@ -278,7 +229,7 @@ class TestPositioningCheck:
 
     def test_mismatched_lengths(self):
         with pytest.raises(DimensionError):
-            positioning_check(Frame(np.array([1.0, 2.0])), Frame(np.array([1.0, 2.0, 3.0])))
+            positioning_check(Frame(np.array([1.0, 2.0])), Frame(np.array([1.0, 2.0, 3.0])), 0.95)
 
 
 class TestManifest:

@@ -571,6 +571,15 @@ class TestModelValidation:
         kwargs["biases"] = (np.zeros(3), np.zeros(4))
         with pytest.raises(DimensionError, match="bias"):
             TrainedHmmModel(**kwargs)
+        for hidden in ((0,), (4, 0)):
+            with pytest.raises(DomainError, match="hidden layer widths"):
+                HmmTrainingConfig(hidden=hidden)
+
+    def test_repeated_label_rejected(self):
+        kwargs = self.base_kwargs()
+        kwargs["labels"] = ("a", "a")
+        with pytest.raises(DomainError, match="repeated class label 'a'"):
+            TrainedHmmModel(**kwargs)
 
     def test_zero_prior_rejected(self):
         kwargs = self.base_kwargs()
