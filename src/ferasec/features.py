@@ -76,7 +76,8 @@ class FeatureMatrix:
         if not np.all(np.isfinite(values)):
             raise DomainError("feature values must be finite")
         for row in (0, 1):
-            bound = 1e-9 * max(np.abs(values[row]).max(), np.finfo(np.float64).tiny)
+            # The absolute floor passes the rounding residue of a constant envelope.
+            bound = 1e-9 * max(np.abs(values[row]).max(), 1.0)
             if abs(values[row].mean()) > bound:
                 raise DomainError(f"envelope row {row + 1} is not DC-free")
         values.setflags(write=False)

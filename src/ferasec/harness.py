@@ -240,7 +240,7 @@ def loocv(
     manifest: CorpusManifest,
     method: str = "dtw",
     *,
-    seed: int = 0,
+    seed: int,
     ferasec_cfg: FerasecConfig = FerasecConfig(),
     dtw_cfg: DtwConfig = DtwConfig(),
     hmm_cfg: HmmTrainingConfig = HmmTrainingConfig(),

@@ -47,6 +47,8 @@ __all__ = [
 
 MODEL_MAGIC = b"HMM1"
 MODEL_VERSION = 1
+# Floor of every state prior, so each scaled likelihood stays finite.
+PRIOR_FLOOR = 1e-8
 
 MlpParams = tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -81,7 +83,6 @@ class HmmTrainingConfig:
     epochs_per_round: int = 12
     batch_size: int = 128
     learning_rate: float = 0.02
-    prior_floor: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -95,8 +96,6 @@ class HmmTrainingConfig:
             raise DomainError("batch_size must be >= 1")
         if not self.learning_rate > 0.0:
             raise DomainError("learning_rate must be positive")
-        if not 0.0 < self.prior_floor < 1.0:
-            raise DomainError("prior_floor must lie in (0, 1)")
         if any(width < 1 for width in self.hidden):
             raise DomainError(f"hidden layer widths must be >= 1, got {tuple(self.hidden)}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -151,6 +150,11 @@ class TrainedHmmModel:
                 )
         if weights[-1].shape[1] != b * s:
             raise DimensionError("output layer width must equal class_count * states_per_class")
+        hidden = tuple(w.shape[1] for w in weights[:-1])
+        if hidden != self.config.hidden:
+            raise DimensionError(
+                f"config.hidden {self.config.hidden} does not match the weights' hidden widths {hidden}"
+            )
         for w, v in zip(weights, biases):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
                 raise NumericError("model parameters must be finite")
@@ -314,76 +318,71 @@ def mlp_backprop(
     return loss, grads
 
 
-def _estimate_transitions(
+def _chain_statistics(
     alignments: Sequence[np.ndarray], class_indices: Sequence[int], b: int, s: int
-) -> np.ndarray:
-    """Row-stochastic left-to-right matrices from alignment run lengths.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-stochastic left-to-right matrices (B, S, S) and state priors
+    (B*S,) counted from the alignments.
 
     Add-one smoothing on the two allowed transitions keeps every allowed
-    probability positive even when a state never self-loops in the data.
+    probability positive even when a state never self-loops in the data;
+    priors are floored at ``PRIOR_FLOOR`` and renormalized.
     """
-    stay = np.zeros((b, s))
-    advance = np.zeros((b, s))
-    for align, c in zip(alignments, class_indices):
-        moved = align[1:] != align[:-1]
-        for state, did_move in zip(align[:-1], moved):
-            if did_move:
-                advance[c, state] += 1
-            else:
-                stay[c, state] += 1
+    lengths = [align.size for align in alignments]
+    cells = np.repeat(np.asarray(class_indices) * s, lengths) + np.concatenate(alignments)
+    has_next = np.ones(cells.size, dtype=bool)  # the frame's successor is in its sequence
+    has_next[np.cumsum(lengths) - 1] = False
+    origin = cells[has_next]
+    moved = cells[1:][has_next[:-1]] != origin
+    stay = np.bincount(origin[~moved], minlength=b * s).reshape(b, s)[:, :-1]
+    advance = np.bincount(origin[moved], minlength=b * s).reshape(b, s)[:, :-1]
+    total = stay + advance + 2.0
     trans = np.zeros((b, s, s))
-    for c in range(b):
-        for state in range(s - 1):
-            total = stay[c, state] + advance[c, state] + 2.0
-            trans[c, state, state] = (stay[c, state] + 1.0) / total
-            trans[c, state, state + 1] = (advance[c, state] + 1.0) / total
-        trans[c, s - 1, s - 1] = 1.0
-    return trans
+    left = np.arange(s - 1)
+    trans[:, left, left] = (stay + 1.0) / total
+    trans[:, left, left + 1] = (advance + 1.0) / total
+    trans[:, s - 1, s - 1] = 1.0
+    priors = np.maximum(np.bincount(cells, minlength=b * s) / cells.size, PRIOR_FLOOR)
+    return trans, priors / priors.sum()
 
 
-def _estimate_priors(
-    alignments: Sequence[np.ndarray], class_indices: Sequence[int], b: int, s: int, floor: float
-) -> np.ndarray:
-    counts = np.zeros(b * s)
-    for align, c in zip(alignments, class_indices):
-        counts[c * s : (c + 1) * s] += np.bincount(align, minlength=s)
-    priors = counts / counts.sum()
-    priors = np.maximum(priors, floor)
-    return priors / priors.sum()
+def _viterbi_core(emissions: np.ndarray, log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-path scores and paths over B left-to-right lattices at once.
 
-
-def _viterbi_core(emissions: np.ndarray, log_trans: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best-path score and path over a left-to-right lattice.
-
-    ``emissions`` is (K, S); the path is forced to start in state 0 and
-    end in state S-1.  Requires K >= S.
+    ``emissions`` is (K, B, S) and ``log_trans`` (B, S, S); returns scores
+    (B,) and paths (B, K).  Every path is forced to start in state 0 and
+    end in state S-1, and ties go to the self-loop.  Requires K >= S.
     """
-    k, s = emissions.shape
-    delta = np.full(s, -np.inf)
-    delta[0] = emissions[0, 0]
-    back = np.zeros((k, s), dtype=np.intp)
-    stay_logp = np.diag(log_trans)
-    adv_logp = np.diag(log_trans, k=1)
+    k, b, s = emissions.shape
+    delta = np.full((b, s), -np.inf)
+    delta[:, 0] = emissions[0, :, 0]
+    stayed = np.zeros((k, b, s), dtype=bool)
+    stay_logp = np.diagonal(log_trans, axis1=1, axis2=2)
+    adv_logp = np.diagonal(log_trans, offset=1, axis1=1, axis2=2)
+    adv = np.full((b, s), -np.inf)
     for t in range(1, k):
         stay = delta + stay_logp
-        adv = np.full(s, -np.inf)
-        adv[1:] = delta[:-1] + adv_logp
-        take_stay = stay >= adv
-        delta = np.where(take_stay, stay, adv) + emissions[t]
-        back[t] = np.where(take_stay, np.arange(s), np.arange(s) - 1)
-    path = np.empty(k, dtype=np.intp)
-    path[-1] = s - 1
+        adv[:, 1:] = delta[:, :-1] + adv_logp
+        stayed[t] = stay >= adv
+        delta = np.where(stayed[t], stay, adv) + emissions[t]
+    paths = np.empty((b, k), dtype=np.intp)
+    paths[:, -1] = s - 1
+    chains = np.arange(b)
     for t in range(k - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return float(delta[s - 1]), path
+        paths[:, t - 1] = paths[:, t] - ~stayed[t, chains, paths[:, t]]
+    return delta[:, s - 1], paths
 
 
-def _scaled_log_likelihoods(
-    logpost: np.ndarray, priors: np.ndarray, class_index: int, states: int
-) -> np.ndarray:
-    """Emission scores for one class block: log posterior minus log prior."""
-    block = slice(class_index * states, (class_index + 1) * states)
-    return logpost[:, block] - np.log(priors[block])
+def _chain_viterbi(
+    params: MlpParams, priors: np.ndarray, transitions: np.ndarray, spliced: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-path scores (B,) and paths (B, K) of one spliced sequence under
+    every class chain, from one network pass and one lattice pass."""
+    b, s, _ = transitions.shape
+    emissions = (mlp_log_posteriors(params, spliced) - np.log(priors)).reshape(-1, b, s)
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(transitions)
+    return _viterbi_core(emissions, log_trans)
 
 
 def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrainingConfig()) -> TrainedHmmModel:
@@ -474,19 +473,13 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
             else:
                 best_loss = epoch_loss
 
-        transitions = _estimate_transitions(alignments, class_indices, b, s)
-        priors = _estimate_priors(alignments, class_indices, b, s, cfg.prior_floor)
+        transitions, priors = _chain_statistics(alignments, class_indices, b, s)
 
         if rnd < cfg.realignment_rounds - 1:
-            with np.errstate(divide="ignore"):
-                log_trans = np.log(transitions)
-            new_alignments = []
-            for c, sl in zip(class_indices, seq_slices):
-                logpost = mlp_log_posteriors(params, standardized(sl))
-                emis = _scaled_log_likelihoods(logpost, priors, c, s)
-                _, path = _viterbi_core(emis, log_trans[c])
-                new_alignments.append(path)
-            alignments = new_alignments
+            alignments = [
+                _chain_viterbi(params, priors, transitions, standardized(sl))[1][c]
+                for c, sl in zip(class_indices, seq_slices)
+            ]
 
     # Fold input standardization into the first layer so the stored model
     # consumes raw spliced features.
@@ -503,13 +496,9 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     )
 
 
-def _decode(
-    model: TrainedHmmModel, features, class_indices: Sequence[int]
-) -> list[tuple[float, np.ndarray]]:
-    """Best-path score and path of ``features`` under each listed class chain.
-
-    The network runs once, whatever the number of classes decoded.
-    """
+def _decode(model: TrainedHmmModel, features) -> tuple[np.ndarray, np.ndarray]:
+    """Best-path scores (B,) and paths (B, K) of ``features`` under every
+    class chain of ``model``."""
     values = np.asarray(features, dtype=np.float64)
     if values.ndim != 2:
         raise DimensionError("features must be a 2-D array (dims x time)")
@@ -519,13 +508,7 @@ def _decode(
             f"sequence of length {values.shape[1]} cannot traverse {s} states without skips"
         )
     spliced = splice_context(values, model.config.context_window)
-    logpost = mlp_log_posteriors(model.params, spliced)
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transitions)
-    return [
-        _viterbi_core(_scaled_log_likelihoods(logpost, model.priors, c, s), log_trans[c])
-        for c in class_indices
-    ]
+    return _chain_viterbi(model.params, model.priors, model.transitions, spliced)
 
 
 def viterbi_decode(model: TrainedHmmModel, label: str, features) -> tuple[float, np.ndarray]:
@@ -536,7 +519,9 @@ def viterbi_decode(model: TrainedHmmModel, label: str, features) -> tuple[float,
     """
     if label not in model.labels:
         raise DomainError(f"unknown class label {label!r}")
-    return _decode(model, features, [model.labels.index(label)])[0]
+    c = model.labels.index(label)
+    scores, paths = _decode(model, features)
+    return float(scores[c]), paths[c]
 
 
 def classify(model: TrainedHmmModel, features) -> tuple[str, np.ndarray]:
@@ -545,9 +530,8 @@ def classify(model: TrainedHmmModel, features) -> tuple[str, np.ndarray]:
     Returns the winning label plus the per-class log-likelihood vector
     (aligned with ``model.labels``); ties break toward the earlier class.
     """
-    scores = np.array([score for score, _ in _decode(model, features, range(model.class_count))])
-    winner = int(np.argmax(scores))
-    return model.labels[winner], scores
+    scores, _ = _decode(model, features)
+    return model.labels[int(np.argmax(scores))], scores
 
 
 def store_model(model: TrainedHmmModel, path: str | Path) -> None:

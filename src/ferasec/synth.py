@@ -121,7 +121,6 @@ class SimConfig:
     # exactly the preset position between repetitions.
     position_jitter_m: float = 0.0
     echo_amplitude: float = 40.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.frame_rate_hz > 0.0:
@@ -170,7 +169,7 @@ def default_clutter_profile(bin_count: int) -> np.ndarray:
     return np.clip(profile, 0.0, 60.0)
 
 
-def render_frameset(script: GestureScript, cfg: SimConfig, seed: int | None = None) -> FrameSet:
+def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSet:
     """Render one labeled raw frame set; identical seeds give identical bytes.
 
     Onset, duration, and position jitter are drawn first from the item's
@@ -178,7 +177,7 @@ def render_frameset(script: GestureScript, cfg: SimConfig, seed: int | None = No
     function of the seed.  The position jitter shifts all reflectors
     rigidly; the clutter background stays fixed to the room.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     onset_shift = float(rng.uniform(-cfg.onset_jitter_s, cfg.onset_jitter_s))
     time_scale = float(1.0 + rng.uniform(-cfg.duration_jitter_fraction, cfg.duration_jitter_fraction))
     position_shift = float(rng.uniform(-cfg.position_jitter_m, cfg.position_jitter_m))
@@ -252,7 +251,7 @@ def generate_corpus(
     return manifest
 
 
-def vowel8_preset(difficulty: str = "easy") -> tuple[list[GestureScript], SimConfig]:
+def vowel8_preset(difficulty: str) -> tuple[list[GestureScript], SimConfig]:
     """Eight two-bump gesture classes plus a matching scene config.
 
     One articulator reflector carries a two-bump trajectory between two

@@ -96,6 +96,31 @@ def brute_force_viterbi(emissions, log_trans):
     return best[0]
 
 
+def per_frame_chain_statistics(alignments, class_indices, b, s, floor):
+    """Transition matrices and state priors counted one frame and one
+    state at a time, with add-one smoothing on both allowed transitions."""
+    stay = np.zeros((b, s))
+    advance = np.zeros((b, s))
+    counts = np.zeros(b * s)
+    for align, c in zip(alignments, class_indices):
+        for state, nxt in zip(align[:-1], align[1:]):
+            if nxt != state:
+                advance[c, state] += 1
+            else:
+                stay[c, state] += 1
+        for state in align:
+            counts[c * s + state] += 1
+    trans = np.zeros((b, s, s))
+    for c in range(b):
+        for state in range(s - 1):
+            total = stay[c, state] + advance[c, state] + 2.0
+            trans[c, state, state] = (stay[c, state] + 1.0) / total
+            trans[c, state, state + 1] = (advance[c, state] + 1.0) / total
+        trans[c, s - 1, s - 1] = 1.0
+    priors = np.maximum(counts / counts.sum(), floor)
+    return trans, priors / priors.sum()
+
+
 def scalar_loopback_reference(rows, alpha, c0):
     """Plain per-bin Python loop over the clutter filter recurrence."""
     c = [float(v) for v in c0]

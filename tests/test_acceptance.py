@@ -271,7 +271,7 @@ def test_criterion_6_viterbi():
         emis = rng.normal(0.0, 3.0, size=(k, s))
         with np.errstate(divide="ignore"):
             log_trans = np.log(random_left_to_right(rng, s))
-        ll, path = _viterbi_core(emis, log_trans)
+        (ll,), (path,) = _viterbi_core(emis[:, None, :], log_trans[None])
         assert ll == brute_force_viterbi(emis.tolist(), log_trans.tolist())
         assert path[0] == 0 and path[-1] == s - 1
 

@@ -316,6 +316,15 @@ class TestFeatureMatrixType:
         with pytest.raises(DomainError):
             FeatureMatrix(values)
 
+    @pytest.mark.parametrize("seed", range(3, 10))
+    def test_whole_set_window_envelope_is_dc_free(self, seed):
+        # window >= 2*M*N: every window covers the whole frame set, so the
+        # envelope is constant and only rounding residue survives remove_dc.
+        fs = FrameSet(np.random.default_rng(seed).uniform(0, 100, (3, 8)))
+        matrix = extract_features(fs, FerasecConfig(window=62, downsample=1))
+        assert matrix.values.shape == (6, 24)
+        assert np.abs(matrix.values[:2]).max() < 1e-12
+
     def test_asarray_protocol(self):
         matrix = FeatureMatrix(np.zeros((6, 3)))
         assert np.asarray(matrix).shape == (6, 3)

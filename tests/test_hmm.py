@@ -16,6 +16,8 @@ from ferasec.hmm import (
     HmmTrainingConfig,
     MlpSpec,
     TrainedHmmModel,
+    PRIOR_FLOOR,
+    _chain_statistics,
     _context_index,
     _gather_spliced,
     _spliced_column_stats,
@@ -55,7 +57,7 @@ def toy_corpus(rng, examples_per_class=3, k_range=(8, 14)):
     return corpus
 
 
-from oracles import brute_force_viterbi, random_left_to_right
+from oracles import brute_force_viterbi, per_frame_chain_statistics, random_left_to_right
 
 
 class TestSpliceContext:
@@ -244,26 +246,48 @@ class TestViterbiCore:
         for _ in range(100):
             s = int(rng.integers(2, 6))
             k = int(rng.integers(s, 9))
-            emis = rng.normal(0.0, 3.0, size=(k, s))
+            b = int(rng.integers(1, 5))
+            emis = rng.normal(0.0, 3.0, size=(k, b, s))
             with np.errstate(divide="ignore"):
-                log_trans = np.log(random_left_to_right(rng, s))
-            ll, path = _viterbi_core(emis, log_trans)
-            assert ll == brute_force_viterbi(emis.tolist(), log_trans.tolist())
-            assert path[0] == 0 and path[-1] == s - 1
-            steps = np.diff(path)
-            assert np.all((steps == 0) | (steps == 1))
+                log_trans = np.log(np.stack([random_left_to_right(rng, s) for _ in range(b)]))
+            scores, paths = _viterbi_core(emis, log_trans)
+            assert scores.shape == (b,) and paths.shape == (b, k)
+            for c in range(b):
+                assert scores[c] == brute_force_viterbi(emis[:, c].tolist(), log_trans[c].tolist())
+                assert paths[c, 0] == 0 and paths[c, -1] == s - 1
+                steps = np.diff(paths[c])
+                assert np.all((steps == 0) | (steps == 1))
 
     def test_hand_built_two_state_lattice(self):
         emis = np.array([[0.5, -1.0], [0.2, 0.3], [-0.4, 0.9]])
         trans = np.array([[0.6, 0.4], [0.0, 1.0]])
         with np.errstate(divide="ignore"):
             log_trans = np.log(trans)
-        ll, path = _viterbi_core(emis, log_trans)
+        (ll,), (path,) = _viterbi_core(emis[:, None, :], log_trans[None])
         # Paths: 0-0-1, 0-1-1 (state 0 at t=2 cannot end at state 1).
         p1 = emis[0, 0] + log_trans[0, 0] + emis[1, 0] + log_trans[0, 1] + emis[2, 1]
         p2 = emis[0, 0] + log_trans[0, 1] + emis[1, 1] + log_trans[1, 1] + emis[2, 1]
         assert ll == pytest.approx(max(p1, p2), rel=1e-15)
         assert path.tolist() == ([0, 0, 1] if p1 >= p2 else [0, 1, 1])
+
+
+class TestChainStatistics:
+    def test_matches_per_frame_counts(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            b = int(rng.integers(1, 5))
+            s = int(rng.integers(1, 6))
+            class_indices = [int(c) for c in rng.permutation(np.repeat(np.arange(b), 2))]
+            alignments = []
+            for _ in class_indices:
+                k = int(rng.integers(s, 12))
+                alignments.append(np.sort(np.r_[np.arange(s), rng.integers(0, s, k - s)]))
+            trans, priors = _chain_statistics(alignments, class_indices, b, s)
+            ref_trans, ref_priors = per_frame_chain_statistics(
+                alignments, class_indices, b, s, PRIOR_FLOOR
+            )
+            assert np.array_equal(trans, ref_trans)
+            assert np.array_equal(priors, ref_priors)
 
 
 class TestTraining:
@@ -574,6 +598,12 @@ class TestModelValidation:
         for hidden in ((0,), (4, 0)):
             with pytest.raises(DomainError, match="hidden layer widths"):
                 HmmTrainingConfig(hidden=hidden)
+
+    def test_config_hidden_must_match_weights(self):
+        kwargs = self.base_kwargs()
+        kwargs["config"] = HmmTrainingConfig(hidden=(8, 8), states_per_class=2, context_window=3)
+        with pytest.raises(DimensionError, match="config.hidden"):
+            TrainedHmmModel(**kwargs)
 
     def test_repeated_label_rejected(self):
         kwargs = self.base_kwargs()
