@@ -3,9 +3,11 @@
 The distance between two feature matrices (rows = feature dimensions,
 columns = time) is the cumulative local cost of the cheapest monotone
 warping path from (1, 1) to (K1, K2) with unit-weight steps
-(+1, 0), (0, +1), (+1, +1).  No global path window and no path-length
-normalization: nearest-neighbor comparisons happen among broadly
-similar lengths and the warping itself absorbs duration variation.
+(+1, 0), (0, +1), (+1, +1), the symmetric step pattern of Sakoe & Chiba,
+with one path shared by all rows (the dependent "DTW_D" form).  No
+global path window and no path-length normalization: nearest-neighbor
+comparisons happen among broadly similar lengths and the warping itself
+absorbs duration variation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-__all__ = ["DtwConfig", "mddtw_distance", "classify_1nn"]
+__all__ = ["DtwConfig", "mddtw_distance", "mddtw_distances", "classify_1nn"]
 
 _METRICS = ("euclidean", "manhattan")
 
@@ -40,45 +42,84 @@ def _as_feature_array(x) -> np.ndarray:
     return arr
 
 
+def _column_costs(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
+    """Local costs of the column pairs that ``x`` and ``y`` broadcast to.
+
+    Axis 0 of both holds the feature rows.  The per-row terms are summed
+    in row order, so a cell's cost has the same bits whatever the shape
+    of the batch it is computed in.
+    """
+    terms = x - y
+    if metric == "euclidean":
+        terms *= terms
+    else:
+        np.abs(terms, out=terms)
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return np.sqrt(total, out=total) if metric == "euclidean" else total
+
+
 def local_cost_matrix(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
     """Pairwise column costs, shape (K1, K2)."""
-    diff = x[:, :, None] - y[:, None, :]
-    if metric == "euclidean":
-        return np.sqrt(np.einsum("dij,dij->ij", diff, diff))
-    return np.abs(diff).sum(axis=0)
+    return _column_costs(x[:, :, None], y[:, None, :], metric)
+
+
+def mddtw_distances(query, references: Sequence, cfg: DtwConfig = DtwConfig()) -> np.ndarray:
+    """Warping distances from ``query`` to each of ``references``.
+
+    The recurrence ``D[i, j] = cost[i, j] + min(D[i-1, j], D[i-1, j-1],
+    D[i, j-1])`` (``inf`` border, ``0`` before the origin) is evaluated
+    one anti-diagonal ``i + j = t`` at a time, for every reference in the
+    same array operations.  References shorter than the longest are
+    zero-padded; each distance is read at its own ``(K1, K2)`` cell,
+    which no monotone path through the padding reaches, so every value
+    equals the cell-by-cell recurrence bit for bit.
+    """
+    xa = _as_feature_array(query)
+    if len(references) == 0:
+        raise DomainError("reference list must not be empty")
+    refs = [_as_feature_array(y) for y in references]
+    d, k1 = xa.shape
+    for index, ya in enumerate(refs):
+        if ya.shape[0] != d:
+            raise DimensionError(
+                f"feature row-count mismatch: reference {index} has {ya.shape[0]} rows, "
+                f"the query has {d}"
+            )
+    lengths = np.array([ya.shape[1] for ya in refs])
+    k2 = int(lengths.max())
+    batch = len(refs)
+    # Time-reversed, zero-padded references with the batch axis last:
+    # the cells (i, t - i) of a diagonal are consecutive columns here.
+    rev = np.zeros((d, k2, batch))
+    for b, ya in enumerate(refs):
+        rev[:, k2 - ya.shape[1]:, b] = ya[:, ::-1]
+    # D on diagonals t-2 and t-1, indexed by row + 1: row -1 is the inf
+    # border, except for the origin D[-1, -1] = 0 before diagonal 0.
+    prev2 = np.full((k1 + 1, batch), np.inf)
+    prev2[0] = 0.0
+    prev1 = np.full((k1 + 1, batch), np.inf)
+    last_row = np.empty((k2, batch))  # D[K1-1, j]
+    for t in range(k1 + k2 - 1):
+        lo, hi = max(0, t - k2 + 1), min(k1 - 1, t)
+        start = k2 - 1 - t
+        cost = _column_costs(
+            xa[:, lo:hi + 1, None], rev[:, start + lo:start + hi + 1], cfg.local_metric
+        )
+        best = np.minimum(prev1[lo:hi + 1], prev2[lo:hi + 1])  # up, diagonal
+        np.minimum(best, prev1[lo + 1:hi + 2], out=best)  # left
+        cur = np.full((k1 + 1, batch), np.inf)
+        np.add(cost, best, out=cur[lo + 1:hi + 2])
+        if hi == k1 - 1:
+            last_row[t - hi] = cur[k1]
+        prev2, prev1 = prev1, cur
+    return last_row[lengths - 1, np.arange(batch)]
 
 
 def mddtw_distance(x, y, cfg: DtwConfig = DtwConfig()) -> float:
     """Cumulative cost of the optimal warping path between two matrices."""
-    xa = _as_feature_array(x)
-    ya = _as_feature_array(y)
-    if xa.shape[0] != ya.shape[0]:
-        raise DimensionError(f"feature row-count mismatch: {xa.shape[0]} vs {ya.shape[0]}")
-    cost = local_cost_matrix(xa, ya, cfg.local_metric)
-    k2 = cost.shape[1]
-    rows = cost.tolist()
-
-    # First row: only horizontal moves are legal.
-    first = rows[0]
-    prev = [0.0] * k2
-    prev[0] = first[0]
-    for j in range(1, k2):
-        prev[j] = prev[j - 1] + first[j]
-    for i in range(1, cost.shape[0]):
-        row = rows[i]
-        cur = [0.0] * k2
-        left = prev[0] + row[0]
-        cur[0] = left
-        for j in range(1, k2):
-            up = prev[j]
-            diag = prev[j - 1]
-            best = diag if diag < up else up
-            if left < best:
-                best = left
-            left = row[j] + best
-            cur[j] = left
-        prev = cur
-    return prev[-1]
+    return float(mddtw_distances(x, [y], cfg)[0])
 
 
 def classify_1nn(
@@ -91,8 +132,6 @@ def classify_1nn(
     Ties break toward the earliest reference in the list, so results are
     deterministic for a fixed manifest order.
     """
-    if not references:
-        raise DomainError("reference list must not be empty")
-    distances = [mddtw_distance(test, ref, cfg) for ref, _ in references]
+    distances = mddtw_distances(test, [ref for ref, _ in references], cfg)
     nearest = int(np.argmin(distances))  # first minimum = earliest reference
     return references[nearest][1], float(distances[nearest])

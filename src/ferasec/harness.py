@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clutter import reduce_frameset
-from .dtw import DtwConfig, mddtw_distance
+from .dtw import DtwConfig, mddtw_distances
 from .errors import DomainError, TrainingError
 from .features import FerasecConfig, extract_features
 from .frames import CorpusManifest, ManifestEntry, load_frameset
@@ -154,20 +154,29 @@ def item_features(manifest: CorpusManifest, method: str, cfg: FerasecConfig) -> 
     return out
 
 
+def _distance_matrix(features: list[np.ndarray], dtw_cfg: DtwConfig) -> np.ndarray:
+    """All pairwise warping distances, each pair computed once.
+
+    Row ``i`` of the upper triangle is one batch from item ``i`` to every
+    later item; the lower triangle mirrors it, which relies on the
+    distance being exactly symmetric.
+    """
+    a = len(features)
+    distances = np.zeros((a, a))
+    for i in range(a - 1):
+        distances[i, i + 1:] = mddtw_distances(features[i], features[i + 1:], dtw_cfg)
+    return distances + distances.T
+
+
 def _dtw_folds(
     manifest: CorpusManifest, features: list[np.ndarray], dtw_cfg: DtwConfig
 ) -> list[FoldRecord]:
     entries = manifest.entries
-    a = len(entries)
-    distances = np.zeros((a, a))
-    for i in range(a):
-        for j in range(i + 1, a):
-            distances[i, j] = distances[j, i] = mddtw_distance(features[i], features[j], dtw_cfg)
+    distances = _distance_matrix(features, dtw_cfg)
+    np.fill_diagonal(distances, np.inf)  # the held-out item is never its own reference
     records = []
     for i, entry in enumerate(entries):
-        row = distances[i].copy()
-        row[i] = np.inf  # the held-out item is never its own reference
-        nearest = int(np.argmin(row))  # first minimum = earliest manifest order
+        nearest = int(np.argmin(distances[i]))  # first minimum = earliest manifest order
         records.append(FoldRecord(entry.item_id, entry.label, entries[nearest].label))
     return records
 

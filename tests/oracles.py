@@ -47,9 +47,44 @@ def naive_delta(z, window):
 
 
 def column_cost(x, y, metric):
-    if metric == "euclidean":
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-    return sum(abs(a - b) for a, b in zip(x, y))
+    """Cost of one column pair, its per-row terms summed in row order."""
+    total = 0.0
+    for a, b in zip(x, y):
+        diff = float(a) - float(b)
+        total += diff * diff if metric == "euclidean" else abs(diff)
+    return math.sqrt(total) if metric == "euclidean" else total
+
+
+def per_cell_dtw(x, y, metric):
+    """MD-DTW distance filled in one grid cell at a time, row by row.
+
+    Every cell adds its local cost to the minimum of its three
+    predecessors, the first row and column having only one.
+    """
+    k1, k2 = len(x[0]), len(y[0])
+    columns_x = [[row[i] for row in x] for i in range(k1)]
+    columns_y = [[row[j] for row in y] for j in range(k2)]
+    rows = [[column_cost(columns_x[i], columns_y[j], metric) for j in range(k2)] for i in range(k1)]
+    first = rows[0]
+    prev = [0.0] * k2
+    prev[0] = first[0]
+    for j in range(1, k2):
+        prev[j] = prev[j - 1] + first[j]
+    for i in range(1, k1):
+        row = rows[i]
+        cur = [0.0] * k2
+        left = prev[0] + row[0]
+        cur[0] = left
+        for j in range(1, k2):
+            up = prev[j]
+            diag = prev[j - 1]
+            best = diag if diag < up else up
+            if left < best:
+                best = left
+            left = row[j] + best
+            cur[j] = left
+        prev = cur
+    return prev[-1]
 
 
 def enumerate_paths_minimum(cost):

@@ -293,6 +293,16 @@ class TestMalformedInput:
         )
         assert "line 4: bump fields must be finite" in err
 
+    def test_dtw_row_count_mismatch(self, corpus_dir, tmp_path, capsys):
+        feats = tmp_path / "t.ftm"
+        store_features(np.ones((5, 8)), feats)
+        err = self.assert_exit_2(
+            ["classify", "--method", "dtw", "--refs", str(corpus_dir / "manifest.tsv"),
+             "--test", str(feats)],
+            capsys,
+        )
+        assert "reference 0 has 6 rows, the query has 5" in err
+
     @pytest.mark.parametrize("flags", [["--alpha", "1.5"], ["--window", "3"]])
     def test_bad_recipe_rejected_for_hmm_classify(self, tmp_path, capsys, flags):
         model = tmp_path / "model.hmm"

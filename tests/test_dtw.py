@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ferasec.dtw import DtwConfig, classify_1nn, local_cost_matrix, mddtw_distance
+from ferasec.dtw import DtwConfig, classify_1nn, local_cost_matrix, mddtw_distance, mddtw_distances
 from ferasec.errors import DimensionError, DomainError
-from oracles import column_cost, enumerate_paths_minimum
+from oracles import column_cost, enumerate_paths_minimum, per_cell_dtw
 
 
 def brute_force_dtw(x, y, metric="euclidean"):
@@ -23,9 +23,9 @@ class TestMddtwDistance:
         x = rng.normal(size=(6, 1))
         y = rng.normal(size=(6, 1))
         expected = column_cost(x[:, 0], y[:, 0], "euclidean")
-        assert mddtw_distance(x, y) == pytest.approx(expected, rel=1e-13)
+        assert mddtw_distance(x, y) == expected
         expected_m = column_cost(x[:, 0], y[:, 0], "manhattan")
-        assert mddtw_distance(x, y, DtwConfig("manhattan")) == pytest.approx(expected_m, rel=1e-13)
+        assert mddtw_distance(x, y, DtwConfig("manhattan")) == expected_m
 
     def test_local_costs_match_independent_formula(self):
         rng = np.random.default_rng(9)
@@ -35,8 +35,7 @@ class TestMddtwDistance:
             cost = local_cost_matrix(x, y, metric)
             for i in range(5):
                 for j in range(4):
-                    expected = column_cost(x[:, i], y[:, j], metric)
-                    assert cost[i, j] == pytest.approx(expected, rel=1e-12)
+                    assert cost[i, j] == column_cost(x[:, i], y[:, j], metric)
 
     @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
     def test_matches_brute_force_enumeration(self, metric):
@@ -54,7 +53,7 @@ class TestMddtwDistance:
         for _ in range(30):
             x = rng.normal(size=(6, int(rng.integers(1, 25))))
             y = rng.normal(size=(6, int(rng.integers(1, 25))))
-            assert abs(mddtw_distance(x, y) - mddtw_distance(y, x)) <= 1e-9
+            assert mddtw_distance(x, y) == mddtw_distance(y, x)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -81,6 +80,54 @@ class TestMddtwDistance:
     def test_bad_metric(self):
         with pytest.raises(DomainError):
             DtwConfig("cosine")
+
+
+def ragged(rng, lengths, rows=6):
+    return [rng.normal(size=(rows, k)) for k in lengths]
+
+
+class TestMddtwDistances:
+    """The batched wavefront against the cell-by-cell oracle, bit for bit."""
+
+    def assert_matches_oracle(self, x, refs):
+        for metric in ("euclidean", "manhattan"):
+            got = mddtw_distances(x, refs, DtwConfig(metric))
+            expected = np.array([per_cell_dtw(x, y, metric) for y in refs])
+            assert got.shape == (len(refs),)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "draw_lengths",
+        [
+            lambda rng, k1: [int(rng.integers(1, 16))],  # one reference
+            lambda rng, k1: list(rng.integers(1, k1, size=5)),  # all shorter
+            lambda rng, k1: list(rng.integers(k1 + 1, k1 + 12, size=5)),  # all longer
+            lambda rng, k1: list(rng.integers(1, 20, size=int(rng.integers(2, 9)))),  # mixed
+        ],
+        ids=["single", "shorter", "longer", "mixed"],
+    )
+    def test_ragged_batches_match_per_cell_recurrence(self, draw_lengths):
+        rng = np.random.default_rng(21)
+        for _ in range(15):
+            k1 = int(rng.integers(2, 16))
+            rows = int(rng.integers(1, 13))
+            x = rng.normal(size=(rows, k1))
+            self.assert_matches_oracle(x, ragged(rng, draw_lengths(rng, k1), rows))
+
+    def test_single_column_on_either_side(self):
+        rng = np.random.default_rng(22)
+        for k in (1, 2, 7, 13):
+            self.assert_matches_oracle(rng.normal(size=(6, 1)), ragged(rng, [k, 1, 3]))
+            self.assert_matches_oracle(rng.normal(size=(6, k)), ragged(rng, [1, 1, k]))
+
+    def test_empty_references(self):
+        with pytest.raises(DomainError, match="must not be empty"):
+            mddtw_distances(np.ones((6, 3)), [])
+
+    def test_row_count_mismatch_names_the_reference(self):
+        refs = [np.zeros((6, 3)), np.zeros((6, 4)), np.zeros((5, 3))]
+        with pytest.raises(DimensionError, match="reference 2 has 5 rows"):
+            mddtw_distances(np.zeros((6, 3)), refs)
 
 
 class TestClassify1nn:

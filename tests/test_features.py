@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ferasec.clutter import DEFAULT_ALPHA, reduce_frameset
 from ferasec.errors import (
     DimensionError,
     DomainError,
+    FerasecError,
     FormatError,
 )
 from ferasec.features import (
@@ -24,6 +26,7 @@ from ferasec.features import (
 from ferasec.frames import FrameSet, FrameSetKind
 
 
+from byte_edits import EDITS, edited
 from oracles import naive_delta, naive_downsample, naive_remove_dc, naive_rms
 
 
@@ -363,3 +366,30 @@ class TestFeaturePersistence:
         with pytest.raises(FormatError, match="finite") as err:
             load_features(path)
         assert err.value.offset == 24
+
+
+class TestLoadFeaturesProperty:
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("load_features") / "item.ftm"
+        store_features(np.random.default_rng(0).normal(size=(6, 5)), path)
+        return path, path.read_bytes()
+
+    # Arbitrary bytes, or a valid file with a few bytes or words
+    # overwritten, cut short or extended.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(
+        noise=st.one_of(st.none(), st.binary(max_size=64)),
+        edits=EDITS,
+        keep=st.integers(0, 200),
+        tail=st.binary(max_size=8),
+    )
+    def test_any_bytes_load_or_raise_ferasec_error(self, stored, noise, edits, keep, tail):
+        path, valid = stored
+        path.write_bytes(edited(valid, edits, keep, tail) if noise is None else noise)
+        try:
+            values = load_features(path)
+        except FerasecError:
+            return
+        assert values.dtype == np.float64 and values.ndim == 2 and values.size > 0
+        assert np.isfinite(values).all()

@@ -3,11 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ferasec.errors import (
     DegenerateInputError,
     DimensionError,
     DomainError,
+    FerasecError,
     FormatError,
 )
 from ferasec.frames import (
@@ -25,6 +27,7 @@ from ferasec.frames import (
 )
 
 
+from byte_edits import EDITS, edited
 from oracles import pearson_by_formula
 
 
@@ -282,3 +285,65 @@ class TestManifest:
         path.write_text("a.frs\ta\t1\tsideways\t3\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_manifest(path)
+
+
+class TestLoadFramesetProperty:
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("load_frameset") / "set.frs"
+        data = np.random.default_rng(0).uniform(0.0, 100.0, size=(4, 5))
+        store_frameset(FrameSet(data), path)
+        return path, path.read_bytes()
+
+    # Arbitrary bytes, or a valid file with a few bytes or words
+    # overwritten, cut short or extended, so the parser gets past the
+    # magic and the header.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(
+        noise=st.one_of(st.none(), st.binary(max_size=64)),
+        edits=EDITS,
+        keep=st.integers(0, 200),
+        tail=st.binary(max_size=8),
+    )
+    def test_any_bytes_load_or_raise_ferasec_error(self, stored, noise, edits, keep, tail):
+        path, valid = stored
+        path.write_bytes(edited(valid, edits, keep, tail) if noise is None else noise)
+        try:
+            fs = load_frameset(path)
+        except FerasecError:
+            return
+        assert isinstance(fs, FrameSet)
+        assert fs.data.shape == (fs.m, fs.n) and np.isfinite(fs.data).all()
+
+
+class TestLoadManifestProperty:
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("load_manifest") / "manifest.tsv"
+        entries = tuple(
+            ManifestEntry(f"{label}_{rep}.frs", label, rep, "upper", 10 * rep + i)
+            for i, label in enumerate("ab")
+            for rep in (1, 2)
+        )
+        store_manifest(CorpusManifest(entries), path)
+        return path, path.read_bytes()
+
+    # The same, plus arbitrary text that gets past UTF-8 decoding.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(
+        noise=st.one_of(
+            st.none(), st.binary(max_size=64), st.text(max_size=64).map(lambda t: t.encode("utf-8"))
+        ),
+        edits=EDITS,
+        keep=st.integers(0, 200),
+        tail=st.binary(max_size=8),
+    )
+    def test_any_bytes_load_or_raise_ferasec_error(self, stored, noise, edits, keep, tail):
+        path, valid = stored
+        path.write_bytes(edited(valid, edits, keep, tail) if noise is None else noise)
+        try:
+            manifest = load_manifest(path)
+        except FerasecError:
+            return
+        assert isinstance(manifest, CorpusManifest)
+        assert manifest.entries and all(isinstance(e, ManifestEntry) for e in manifest.entries)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ferasec import harness
+from ferasec.dtw import DtwConfig
 from ferasec.errors import DomainError
 from ferasec.frames import CorpusManifest
 from ferasec.harness import (
@@ -15,6 +16,7 @@ from ferasec.harness import (
 from ferasec.features import FerasecConfig
 from ferasec.hmm import HmmTrainingConfig
 from ferasec.synth import GestureBump, GestureScript, Reflector, SimConfig, generate_corpus
+from oracles import per_cell_dtw
 
 # Window longer than one frame (N=256) so each envelope sample aggregates
 # whole-frame energy; the default config satisfies this.
@@ -107,6 +109,19 @@ class TestDtwLoocv:
         correct = sum(1 for rec in report.folds if rec.truth == rec.predicted)
         assert report.accuracy_percent == 100.0 * correct / len(report.folds)
         assert report.correct_count == correct
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_distance_matrix_matches_pairwise_oracle(self, tiny_corpus, metric):
+        features = harness.item_features(tiny_corpus, "dtw", SMALL_FERASEC)
+        # Ragged lengths, down to one column, beside the corpus items.
+        rng = np.random.default_rng(24)
+        features += [rng.normal(size=(6, int(k))) for k in rng.integers(1, 14, size=6)]
+        got = harness._distance_matrix(features, DtwConfig(metric))
+        expected = [
+            [0.0 if i == j else per_cell_dtw(x, y, metric) for j, y in enumerate(features)]
+            for i, x in enumerate(features)
+        ]
+        assert np.array_equal(got, np.array(expected))
 
     def test_manifest_permutation_keeps_accuracy(self, tiny_corpus):
         report = loocv(tiny_corpus, "dtw", seed=0, ferasec_cfg=SMALL_FERASEC)

@@ -57,6 +57,7 @@ def toy_corpus(rng, examples_per_class=3, k_range=(8, 14)):
     return corpus
 
 
+from byte_edits import EDITS, edited
 from oracles import brute_force_viterbi, per_frame_chain_statistics, random_left_to_right
 
 
@@ -518,26 +519,6 @@ def tiny_model_kwargs():
     )
 
 
-def _edited(blob, edits, keep, tail):
-    out = bytearray(blob)
-    for pos, chunk in edits:
-        pos %= len(out) - len(chunk) + 1
-        out[pos : pos + len(chunk)] = chunk
-    return bytes(out[:keep]) + tail
-
-
-# Little-endian float32 / uint32 words worth planting: 0, 1, huge, -1,
-# +inf, a quiet and a signalling NaN, the largest float32.
-_WORDS = st.sampled_from(
-    [bytes.fromhex(h) for h in ("00000000", "01000000", "ffffffff", "000080bf",
-                                "0000807f", "0000c07f", "0100807f", "ffff7f7f")]
-)
-_EDITS = st.lists(
-    st.tuples(st.integers(0, 10**6), st.one_of(st.binary(min_size=1, max_size=1), _WORDS)),
-    max_size=6,
-)
-
-
 class TestLoadModelProperty:
     @pytest.fixture(scope="class")
     def stored(self, tmp_path_factory):
@@ -551,13 +532,13 @@ class TestLoadModelProperty:
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(
         noise=st.one_of(st.none(), st.binary(max_size=64)),
-        edits=_EDITS,
+        edits=EDITS,
         keep=st.integers(0, 1000),
         tail=st.binary(max_size=8),
     )
     def test_any_bytes_load_or_raise_ferasec_error(self, stored, noise, edits, keep, tail):
         path, valid = stored
-        path.write_bytes(_edited(valid, edits, keep, tail) if noise is None else noise)
+        path.write_bytes(edited(valid, edits, keep, tail) if noise is None else noise)
         try:
             model = load_model(path)
         except FerasecError:
