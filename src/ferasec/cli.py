@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dtw import _METRICS, DtwConfig, classify_1nn
+from .dtw import METRICS, DtwConfig, classify_1nn
 from .errors import FerasecError, NumericError, read_utf8
 from .features import FerasecConfig, extract_features, load_features, store_features
 from .frames import load_frameset, load_manifest, positioning_check
@@ -81,7 +81,7 @@ def _hmm_cfg(args: argparse.Namespace, seed: int) -> HmmTrainingConfig:
 
 
 def _add_metric_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--metric", default=DtwConfig().local_metric, choices=_METRICS,
+    parser.add_argument("--metric", default=DtwConfig().local_metric, choices=METRICS,
                         help="dtw local metric (default %(default)s)")
 
 

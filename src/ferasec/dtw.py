@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
-__all__ = ["DtwConfig", "mddtw_distance", "mddtw_distances", "classify_1nn"]
+__all__ = ["METRICS", "DtwConfig", "mddtw_distance", "mddtw_distances", "classify_1nn"]
 
-_METRICS = ("euclidean", "manhattan")
+METRICS = ("euclidean", "manhattan")
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class DtwConfig:
     local_metric: str = "euclidean"
 
     def __post_init__(self) -> None:
-        if self.local_metric not in _METRICS:
-            raise DomainError(f"local_metric must be one of {_METRICS}, got {self.local_metric!r}")
+        if self.local_metric not in METRICS:
+            raise DomainError(f"local_metric must be one of {METRICS}, got {self.local_metric!r}")
 
 
 def _as_feature_array(x) -> np.ndarray:

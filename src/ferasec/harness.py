@@ -247,7 +247,7 @@ def _hmm_folds(
 
 def loocv(
     manifest: CorpusManifest,
-    method: str = "dtw",
+    method: str,
     *,
     seed: int,
     ferasec_cfg: FerasecConfig = FerasecConfig(),
@@ -269,8 +269,13 @@ def loocv(
     reps_per_class = manifest.reps_per_class
 
     started = time.perf_counter()
-    # Fold jobs validate ``fast``/``fast_groups`` before any item is featurized.
-    jobs = None if method == "dtw" else _fold_jobs(manifest.entries, seed, fast, fast_groups)
+    # ``fast``/``fast_groups`` are validated before any item is featurized.
+    if method == "dtw":
+        if fast or fast_groups is not None:
+            raise DomainError("fast LOOCV and its splits apply only to the MLP-HMM methods")
+        jobs = None
+    else:
+        jobs = _fold_jobs(manifest.entries, seed, fast, fast_groups)
     features = item_features(manifest, method, ferasec_cfg)
     if jobs is None:
         records = _dtw_folds(manifest, features, dtw_cfg)

@@ -30,7 +30,6 @@ from .errors import (
 )
 
 __all__ = [
-    "MlpSpec",
     "HmmTrainingConfig",
     "TrainedHmmModel",
     "splice_context",
@@ -51,25 +50,6 @@ MODEL_VERSION = 1
 PRIOR_FLOOR = 1e-8
 
 MlpParams = tuple[tuple[np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Layer sizes of the posterior network: rectifier hiddens, softmax output."""
-
-    input_dim: int
-    hidden: tuple[int, ...]
-    output_dim: int
-
-    def __post_init__(self) -> None:
-        dims = (self.input_dim, *self.hidden, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise DomainError(f"all layer sizes must be positive, got {dims}")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden, self.output_dim)
 
 
 @dataclass(frozen=True)
@@ -96,6 +76,8 @@ class HmmTrainingConfig:
             raise DomainError("batch_size must be >= 1")
         if not self.learning_rate > 0.0:
             raise DomainError("learning_rate must be positive")
+        if not 0 <= self.seed < 2**64:  # stored as a u64 in the model file
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if any(width < 1 for width in self.hidden):
             raise DomainError(f"hidden layer widths must be >= 1, got {tuple(self.hidden)}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -143,6 +125,8 @@ class TrainedHmmModel:
         for i, (w, v) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or v.shape != (w.shape[1],):
                 raise DimensionError(f"layer {i}: bias length must equal the weight fan-out")
+            if 0 in w.shape:
+                raise DimensionError(f"layer {i} has a zero fan-in or fan-out {w.shape}")
             if i and w.shape[0] != weights[i - 1].shape[1]:
                 raise DimensionError(
                     f"layer {i} fan-in {w.shape[0]} does not match "
@@ -256,10 +240,10 @@ def flat_start_align(length: int, states: int) -> np.ndarray:
     return ((k * states + length - 1) // length - 1).astype(np.intp)
 
 
-def mlp_init(spec: MlpSpec, rng: np.random.Generator) -> MlpParams:
-    """Uniform init in +/- sqrt(6 / (fan_in + fan_out)); zero biases."""
+def mlp_init(dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
+    """Layers of widths ``(input, *hidden, output)``: uniform weights in
+    +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
     params = []
-    dims = spec.dims
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -402,6 +386,8 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     if any(m.ndim != 2 for m in matrices) or len(dims) != 1:
         raise DimensionError("all feature matrices must be 2-D with one shared row count")
     feature_dim = dims.pop()
+    if feature_dim < 1:
+        raise DimensionError("feature matrices must have at least one row")
     s = cfg.states_per_class
     for m, label in zip(matrices, labels_per_item):
         if m.shape[1] < s:
@@ -438,8 +424,7 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
         return (_gather_spliced(cols, context[rows]) - mean) / std
 
     rng = np.random.default_rng(cfg.seed)
-    spec = MlpSpec(feature_dim * window, cfg.hidden, b * s)
-    params = mlp_init(spec, rng)
+    params = mlp_init((feature_dim * window, *cfg.hidden, b * s), rng)
     alignments = [flat_start_align(m.shape[1], s) for m in matrices]
     transitions = np.zeros((b, s, s))
     priors = np.full(b * s, 1.0 / (b * s))

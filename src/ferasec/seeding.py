@@ -12,15 +12,17 @@ import hashlib
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["derive_seed"]
 
 
 def _component_to_int(part: int | str) -> int:
     if isinstance(part, bool):  # bool is an int subclass; reject to avoid surprises
-        raise TypeError("seed components must be int or str, not bool")
+        raise DomainError("seed components must be int or str, not bool")
     if isinstance(part, int):
-        if part < 0:
-            raise ValueError("seed components must be non-negative")
+        if not 0 <= part < 2**64:
+            raise DomainError(f"seed components must lie in [0, 2**64), got {part}")
         return part
     digest = hashlib.sha256(part.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")

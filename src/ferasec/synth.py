@@ -38,7 +38,6 @@ __all__ = [
     "Reflector",
     "GestureScript",
     "SimConfig",
-    "default_clutter_profile",
     "render_frameset",
     "generate_corpus",
     "vowel8_preset",
@@ -47,6 +46,27 @@ __all__ = [
 ]
 
 DIFFICULTIES = ("easy", "medium", "hard")
+
+# The simulated radar: one pulse shape, echo strength and room background
+# for every corpus, on the frame grid of ``frames.DEFAULT_*``.
+PULSE_WIDTH_BINS = 2.0
+ECHO_AMPLITUDE = 40.0
+
+
+def _clutter_profile() -> np.ndarray:
+    """Static background: three fixed Gaussian humps, peak amplitude <= 60."""
+    n = DEFAULT_BIN_COUNT
+    bins = np.arange(1, n + 1, dtype=np.float64)
+    humps = ((0.12 * n, 0.035 * n, 55.0), (0.45 * n, 0.060 * n, 35.0), (0.80 * n, 0.045 * n, 20.0))
+    profile = np.zeros(n)
+    for center, width, amp in humps:
+        profile += amp * np.exp(-((bins - center) ** 2) / (2.0 * width * width))
+    profile = np.clip(profile, 0.0, 60.0)
+    profile.setflags(write=False)
+    return profile
+
+
+CLUTTER_PROFILE = _clutter_profile()
 
 
 @dataclass(frozen=True)
@@ -79,7 +99,7 @@ class Reflector:
             raise DomainError(f"reflectivity must lie in (0, 1], got {self.reflectivity}")
         object.__setattr__(self, "bumps", tuple(self.bumps))
 
-    def distance_at(self, t: np.ndarray, time_scale: float = 1.0, shift_s: float = 0.0) -> np.ndarray:
+    def distance_at(self, t: np.ndarray, time_scale: float, shift_s: float) -> np.ndarray:
         """Distance trajectory with bump timing scaled and shifted."""
         d = np.full_like(t, self.base_distance_m, dtype=np.float64)
         for bump in self.bumps:
@@ -107,66 +127,24 @@ class GestureScript:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Radar and scene parameters for rendering."""
+    """Per-corpus scene variation: white noise and per-item jitter."""
 
-    frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
-    bin_count: int = DEFAULT_BIN_COUNT
-    range_m: float = DEFAULT_RANGE_M
-    pulse_width_bins: float = 2.0
-    clutter_profile: np.ndarray | None = None
     noise_sigma: float = 0.0
     onset_jitter_s: float = 0.2
     duration_jitter_fraction: float = 0.1
     # Per-item rigid shift of every reflector: articulators never rest at
     # exactly the preset position between repetitions.
     position_jitter_m: float = 0.0
-    echo_amplitude: float = 40.0
 
     def __post_init__(self) -> None:
-        if not self.frame_rate_hz > 0.0:
-            raise DomainError("frame_rate_hz must be positive")
-        if self.bin_count < 1:
-            raise DomainError("bin_count must be positive")
-        if not self.range_m > 0.0:
-            raise DomainError("range_m must be positive")
-        if not self.pulse_width_bins > 0.0:
-            raise DomainError("pulse_width_bins must be positive")
-        if self.noise_sigma < 0.0:
-            raise DomainError("noise_sigma must be non-negative")
-        if self.onset_jitter_s < 0.0:
-            raise DomainError("onset_jitter_s must be non-negative")
+        for name in ("noise_sigma", "onset_jitter_s", "position_jitter_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise DomainError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 <= self.duration_jitter_fraction < 0.5:
-            raise DomainError("duration_jitter_fraction must lie in [0, 0.5)")
-        if self.position_jitter_m < 0.0:
-            raise DomainError("position_jitter_m must be non-negative")
-        if not 0.0 < self.echo_amplitude <= 100.0:
-            raise DomainError("echo_amplitude must lie in (0, 100]")
-        profile = self.clutter_profile
-        if profile is None:
-            profile = default_clutter_profile(self.bin_count)
-        profile = np.asarray(profile, dtype=np.float64).copy()
-        if profile.shape != (self.bin_count,):
             raise DomainError(
-                f"clutter profile must have length {self.bin_count}, got {profile.shape}"
+                f"duration_jitter_fraction must lie in [0, 0.5), got {self.duration_jitter_fraction}"
             )
-        if profile.min() < 0.0 or profile.max() > 100.0:
-            raise DomainError("clutter profile amplitudes must lie in [0, 100]")
-        profile.setflags(write=False)
-        object.__setattr__(self, "clutter_profile", profile)
-
-
-def default_clutter_profile(bin_count: int) -> np.ndarray:
-    """Static background: three fixed Gaussian humps, peak amplitude <= 60."""
-    bins = np.arange(1, bin_count + 1, dtype=np.float64)
-    humps = (
-        (0.12 * bin_count, 0.035 * bin_count, 55.0),
-        (0.45 * bin_count, 0.060 * bin_count, 35.0),
-        (0.80 * bin_count, 0.045 * bin_count, 20.0),
-    )
-    profile = np.zeros(bin_count)
-    for center, width, amp in humps:
-        profile += amp * np.exp(-((bins - center) ** 2) / (2.0 * width * width))
-    return np.clip(profile, 0.0, 60.0)
 
 
 def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSet:
@@ -181,22 +159,22 @@ def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSe
     onset_shift = float(rng.uniform(-cfg.onset_jitter_s, cfg.onset_jitter_s))
     time_scale = float(1.0 + rng.uniform(-cfg.duration_jitter_fraction, cfg.duration_jitter_fraction))
     position_shift = float(rng.uniform(-cfg.position_jitter_m, cfg.position_jitter_m))
-    frame_count = int(round(script.duration_s * time_scale * cfg.frame_rate_hz))
+    frame_count = int(round(script.duration_s * time_scale * DEFAULT_FRAME_RATE_HZ))
     if frame_count < 1:
         raise GenerationError("jittered duration renders zero frames")
 
-    t = np.arange(1, frame_count + 1, dtype=np.float64) / cfg.frame_rate_hz
-    bins = np.arange(1, cfg.bin_count + 1, dtype=np.float64)
-    data = np.tile(cfg.clutter_profile, (frame_count, 1))
-    denom = 2.0 * cfg.pulse_width_bins**2
+    t = np.arange(1, frame_count + 1, dtype=np.float64) / DEFAULT_FRAME_RATE_HZ
+    bins = np.arange(1, DEFAULT_BIN_COUNT + 1, dtype=np.float64)
+    data = np.tile(CLUTTER_PROFILE, (frame_count, 1))
+    denom = 2.0 * PULSE_WIDTH_BINS**2
     for reflector in script.reflectors:
         dist = reflector.distance_at(t, time_scale, onset_shift) + position_shift
-        if dist.min() <= 0.0 or dist.max() >= cfg.range_m:
+        if dist.min() <= 0.0 or dist.max() >= DEFAULT_RANGE_M:
             raise GenerationError(
-                f"reflector trajectory leaves (0, {cfg.range_m}) m for script {script.label!r}"
+                f"reflector trajectory leaves (0, {DEFAULT_RANGE_M}) m for script {script.label!r}"
             )
-        center_bins = dist * cfg.bin_count / cfg.range_m  # 1-based, continuous
-        data += reflector.reflectivity * cfg.echo_amplitude * np.exp(
+        center_bins = dist * DEFAULT_BIN_COUNT / DEFAULT_RANGE_M  # 1-based, continuous
+        data += reflector.reflectivity * ECHO_AMPLITUDE * np.exp(
             -((bins[None, :] - center_bins[:, None]) ** 2) / denom
         )
     if cfg.noise_sigma > 0.0:
@@ -204,8 +182,8 @@ def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSe
     np.clip(data, 0.0, 100.0, out=data)
     return FrameSet(
         data,
-        frame_rate_hz=cfg.frame_rate_hz,
-        range_m=cfg.range_m,
+        frame_rate_hz=DEFAULT_FRAME_RATE_HZ,
+        range_m=DEFAULT_RANGE_M,
         kind=FrameSetKind.RAW,
         label=script.label,
     )
@@ -220,13 +198,13 @@ def generate_corpus(
     cfg: SimConfig,
     master_seed: int,
     out_dir: str | Path,
-    position: str = "upper",
 ) -> CorpusManifest:
     """Render ``reps`` repetitions of every script and write a manifest.
 
     Per-item seeds derive from the master seed plus the class label and
     repetition index, so corpus bytes are a pure function of
     (scripts, cfg, master_seed) and items may be re-rendered in isolation.
+    Every item is tagged with the ``upper`` position.
     """
     if len(scripts) < 2:
         raise DomainError("corpus needs at least 2 classes")
@@ -245,7 +223,7 @@ def generate_corpus(
             item_seed = derive_seed(master_seed, "item", script.label, rep)
             rel = f"{safe}_{rep:03d}.frs"
             store_frameset(render_frameset(script, cfg, item_seed), out / rel)
-            entries.append(ManifestEntry(rel, script.label, rep, position, item_seed))
+            entries.append(ManifestEntry(rel, script.label, rep, "upper", item_seed))
     manifest = CorpusManifest(tuple(entries), root=out)
     store_manifest(manifest, out / "manifest.tsv")
     return manifest

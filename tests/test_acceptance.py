@@ -25,7 +25,6 @@ from ferasec.frames import Frame, FrameSet, pearson_correlation, positioning_che
 from ferasec.harness import loocv, report_to_text
 from ferasec.hmm import (
     HmmTrainingConfig,
-    MlpSpec,
     _viterbi_core,
     mlp_backprop,
     mlp_init,
@@ -233,7 +232,7 @@ def test_criterion_5_mlp_gradients():
         d_in = int(rng.integers(2, 13))
         d_h = int(rng.integers(2, 9))
         d_out = int(rng.integers(2, 11))
-        params = mlp_init(MlpSpec(d_in, (d_h,), d_out), rng)
+        params = mlp_init((d_in, d_h, d_out), rng)
         x = rng.normal(size=(3, d_in))
         t = rng.integers(0, d_out, size=3)
 

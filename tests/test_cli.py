@@ -379,6 +379,42 @@ class TestMalformedInput:
         assert err.startswith("error: each transition row must have a finite positive sum")
         assert f"(byte offset {start})" in err
 
+    @pytest.mark.parametrize(
+        "command, seed",
+        [("generate", "-1"), ("loocv", "-1"), ("train", "-1"), ("train", str(2**64))],
+    )
+    def test_out_of_range_seed(self, corpus_dir, tmp_path, capsys, command, seed):
+        manifest = str(corpus_dir / "manifest.tsv")
+        argv = {
+            "generate": ["generate", "--reps", "2", "--out", str(tmp_path / "c")],
+            "loocv": ["loocv", "--method", "hmm", "--fast-loocv", "--corpus", manifest],
+            "train": ["train", "--corpus", manifest, "--out", str(tmp_path / "m.hmm")],
+        }[command]
+        err = self.assert_exit_2([*argv, "--seed", seed], capsys)
+        assert "2**64" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--noise", "nan"), ("--noise", "inf"), ("--onset-jitter", "inf"),
+         ("--onset-jitter", "nan"), ("--position-jitter", "inf")],
+    )
+    def test_non_finite_scene_value(self, tmp_path, capsys, flag, value):
+        scripts = tmp_path / "scripts.txt"
+        scripts.write_text(SCRIPTS_TEXT, encoding="utf-8")
+        err = self.assert_exit_2(
+            ["generate", "--scripts", str(scripts), "--reps", "2", flag, value,
+             "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("flags", [["--fast-groups", "1"], ["--fast-loocv", "--fast-groups", "99"]])
+    def test_fast_flags_rejected_for_dtw_loocv(self, corpus_dir, capsys, flags):
+        self.assert_exit_2(
+            ["loocv", "--method", "dtw", "--corpus", str(corpus_dir / "manifest.tsv"), *flags],
+            capsys,
+        )
+
     def test_bad_alpha_rejected_for_every_loocv_method(self, corpus_dir, capsys):
         manifest = str(corpus_dir / "manifest.tsv")
         for method in ("dtw", "hmm", "hmm-raw", "hmm-clutterreduced"):

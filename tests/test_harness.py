@@ -169,18 +169,20 @@ class TestHmmLoocv:
             assert rec.predicted == by_id[rec.item_id]
 
     def test_fast_groups_validation(self, tiny_corpus, monkeypatch):
-        # Too few splits, and splits without fast LOOCV, are rejected
-        # before any item is featurized.
+        # Too few splits, splits without fast LOOCV, and any fast-LOOCV
+        # flag for DTW are rejected before any item is featurized.
         calls = []
         real = harness.extract_features
         monkeypatch.setattr(
             harness, "extract_features", lambda *a, **k: calls.append(a) or real(*a, **k)
         )
-        for fast, groups in ((True, 1), (False, 2)):
+        for method, fast, groups in (
+            ("hmm", True, 1), ("hmm", False, 2), ("dtw", False, 1), ("dtw", True, 99), ("dtw", True, None)
+        ):
             with pytest.raises(DomainError, match="splits"):
                 loocv(
                     tiny_corpus,
-                    "hmm",
+                    method,
                     seed=0,
                     ferasec_cfg=SMALL_FERASEC,
                     hmm_cfg=SMALL_HMM,

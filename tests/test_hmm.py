@@ -14,7 +14,6 @@ from ferasec.errors import (
 )
 from ferasec.hmm import (
     HmmTrainingConfig,
-    MlpSpec,
     TrainedHmmModel,
     PRIOR_FLOOR,
     _chain_statistics,
@@ -174,26 +173,21 @@ class TestFlatStartAlign:
 
 class TestMlp:
     def test_zero_weights_give_uniform_posterior(self):
-        spec = MlpSpec(input_dim=42, hidden=(8, 8), output_dim=40)
-        params = tuple(
-            (np.zeros((i, o)), np.zeros(o))
-            for i, o in zip(spec.dims[:-1], spec.dims[1:])
-        )
+        dims = (42, 8, 8, 40)
+        params = tuple((np.zeros((i, o)), np.zeros(o)) for i, o in zip(dims[:-1], dims[1:]))
         post = np.exp(mlp_log_posteriors(params, np.random.default_rng(3).normal(size=(5, 42))))
         np.testing.assert_allclose(post, 1.0 / 40.0, rtol=1e-12)
 
     def test_posteriors_sum_to_one_and_positive(self):
         rng = np.random.default_rng(4)
-        spec = MlpSpec(input_dim=10, hidden=(12,), output_dim=7)
-        params = mlp_init(spec, rng)
+        params = mlp_init((10, 12, 7), rng)
         post = np.exp(mlp_log_posteriors(params, rng.normal(size=(20, 10))))
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(post > 0.0)
 
     def test_glorot_init_bounds(self):
         rng = np.random.default_rng(5)
-        spec = MlpSpec(input_dim=30, hidden=(20,), output_dim=10)
-        params = mlp_init(spec, rng)
+        params = mlp_init((30, 20, 10), rng)
         for (w, b), (fan_in, fan_out) in zip(params, [(30, 20), (20, 10)]):
             bound = math.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(w) <= bound)
@@ -206,8 +200,7 @@ class TestMlp:
             d_in = int(rng.integers(2, 12))
             d_h = int(rng.integers(2, 8))
             d_out = int(rng.integers(2, 10))
-            spec = MlpSpec(d_in, (d_h,), d_out)
-            params = mlp_init(spec, rng)
+            params = mlp_init((d_in, d_h, d_out), rng)
             x = rng.normal(size=(4, d_in))
             t = rng.integers(0, d_out, size=4)
 
@@ -234,8 +227,7 @@ class TestMlp:
                         assert abs(numeric - analytic) / denom < 1e-4
 
     def test_non_finite_input_rejected(self):
-        spec = MlpSpec(4, (4,), 3)
-        params = mlp_init(spec, np.random.default_rng(7))
+        params = mlp_init((4, 4, 3), np.random.default_rng(7))
         bad = np.array([[1.0, np.nan, 0.0, 2.0]])
         with pytest.raises(NumericError):
             np.exp(mlp_log_posteriors(params, bad))
@@ -354,6 +346,11 @@ class TestTraining:
         corpus = toy_corpus(rng)
         corpus.append((rng.normal(size=(6, 3)), "flat"))
         with pytest.raises(TrainingError, match="shorter"):
+            train(corpus, TOY_CFG)
+
+    def test_zero_row_features_rejected(self):
+        corpus = [(np.zeros((0, 8)), label) for label in ("a", "a", "b", "b")]
+        with pytest.raises(DimensionError, match="at least one row"):
             train(corpus, TOY_CFG)
 
     def test_labels_sorted_for_stable_class_order(self):
@@ -576,9 +573,19 @@ class TestModelValidation:
         kwargs["biases"] = (np.zeros(3), np.zeros(4))
         with pytest.raises(DimensionError, match="bias"):
             TrainedHmmModel(**kwargs)
+        kwargs = self.base_kwargs()
+        kwargs["weights"] = (np.zeros((0, 4)), np.zeros((4, 4)))
+        with pytest.raises(DimensionError, match="layer 0 has a zero fan-in"):
+            TrainedHmmModel(**kwargs)
         for hidden in ((0,), (4, 0)):
             with pytest.raises(DomainError, match="hidden layer widths"):
                 HmmTrainingConfig(hidden=hidden)
+
+    def test_seed_must_fit_the_stored_u64(self):
+        HmmTrainingConfig(seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\*\*64\)"):
+                HmmTrainingConfig(seed=seed)
 
     def test_config_hidden_must_match_weights(self):
         kwargs = self.base_kwargs()

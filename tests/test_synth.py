@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ferasec.errors import DomainError, FormatError, GenerationError
-from ferasec.frames import FrameSetKind, load_frameset, load_manifest
+from ferasec.frames import DEFAULT_BIN_COUNT, DEFAULT_FRAME_RATE_HZ, FrameSetKind, load_frameset, load_manifest
 from ferasec.synth import (
+    CLUTTER_PROFILE,
+    ECHO_AMPLITUDE,
     GestureBump,
     GestureScript,
     Reflector,
     SimConfig,
-    default_clutter_profile,
     generate_corpus,
     parse_scripts_text,
     render_frameset,
@@ -23,6 +24,11 @@ def quiet_config(**overrides):
     return SimConfig(**defaults)
 
 
+def echo_only(fs):
+    """A noise-free render minus the fixed clutter background."""
+    return fs.data.astype(np.float64) - CLUTTER_PROFILE
+
+
 def single_reflector_script(distance=0.5, label="s", duration=0.5, bumps=()):
     return GestureScript(label, (Reflector(distance, bumps, reflectivity=0.9),), duration)
 
@@ -32,20 +38,20 @@ class TestRenderFrameset:
         cfg = quiet_config()
         script = GestureScript("quiet", (), duration_s=0.25)
         fs = render_frameset(script, cfg, seed=1)
-        expected = cfg.clutter_profile.astype(np.float32)
+        expected = CLUTTER_PROFILE.astype(np.float32)
         assert fs.kind is FrameSetKind.RAW
-        assert fs.m == round(0.25 * cfg.frame_rate_hz)
+        assert fs.m == round(0.25 * DEFAULT_FRAME_RATE_HZ)
         for row in fs.data:
             np.testing.assert_array_equal(row, expected)
 
     def test_static_reflector_centers_echo_at_mapped_bin(self):
-        cfg = quiet_config(clutter_profile=np.zeros(256))
-        fs = render_frameset(single_reflector_script(0.5), cfg, seed=2)
+        fs = render_frameset(single_reflector_script(0.5), quiet_config(), seed=2)
+        echo = echo_only(fs)
         # bin round(N * d / range) = 128 (1-based) -> index 127
-        for row in fs.data:
+        for row in echo:
             assert int(np.argmax(row)) == 127
-        peak = 0.9 * cfg.echo_amplitude
-        assert fs.data[0, 127] == pytest.approx(peak, rel=1e-6)
+        peak = 0.9 * ECHO_AMPLITUDE
+        assert echo[0, 127] == pytest.approx(peak, rel=1e-6)
 
     def test_same_seed_identical_framesets(self):
         script = single_reflector_script(0.4, bumps=(GestureBump(0.2, 0.05, 0.1),))
@@ -74,11 +80,10 @@ class TestRenderFrameset:
             render_frameset(bad, cfg, seed=4)
 
     def test_bump_moves_echo(self):
-        cfg = quiet_config(clutter_profile=np.zeros(256))
         script = single_reflector_script(0.3, duration=1.0, bumps=(GestureBump(0.5, 0.1, 0.2),))
-        fs = render_frameset(script, cfg, seed=5)
-        start_bin = int(np.argmax(fs.data[0]))
-        mid_bin = int(np.argmax(fs.data[fs.m // 2 - 1]))
+        echo = echo_only(render_frameset(script, quiet_config(), seed=5))
+        start_bin = int(np.argmax(echo[0]))
+        mid_bin = int(np.argmax(echo[len(echo) // 2 - 1]))
         assert start_bin == pytest.approx(77, abs=1)  # 0.3 m -> bin 76.8
         assert mid_bin == pytest.approx(128, abs=1)  # 0.5 m at the bump peak
 
@@ -89,13 +94,14 @@ class TestRenderFrameset:
 
 class TestDefaultClutterProfile:
     def test_bounded_and_sized(self):
-        profile = default_clutter_profile(256)
-        assert profile.shape == (256,)
+        profile = CLUTTER_PROFILE
+        assert profile.shape == (DEFAULT_BIN_COUNT,)
         assert profile.min() >= 0.0
         assert profile.max() <= 60.0
+        assert not profile.flags.writeable
 
     def test_has_multiple_humps(self):
-        profile = default_clutter_profile(256)
+        profile = CLUTTER_PROFILE
         localmax = (profile[1:-1] > profile[:-2]) & (profile[1:-1] > profile[2:])
         assert localmax.sum() >= 3
 
@@ -272,12 +278,10 @@ class TestGestureValidation:
 class TestSimConfigValidation:
     def test_bad_values(self):
         with pytest.raises(DomainError):
-            SimConfig(frame_rate_hz=0.0)
-        with pytest.raises(DomainError):
             SimConfig(noise_sigma=-1.0)
         with pytest.raises(DomainError):
             SimConfig(duration_jitter_fraction=0.5)
-        with pytest.raises(DomainError):
-            SimConfig(clutter_profile=np.full(256, 101.0))
-        with pytest.raises(DomainError):
-            SimConfig(clutter_profile=np.zeros(7))
+        for field in ("noise_sigma", "onset_jitter_s", "duration_jitter_fraction", "position_jitter_m"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(DomainError, match=field):
+                    SimConfig(**{field: bad})
