@@ -187,8 +187,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    cfg = _hmm_cfg(args, args.seed)  # a bad training flag fails before any feature is built
     corpus = _labeled_inputs(args.corpus, "hmm", _ferasec_cfg(args))
-    model = hmm_train(corpus, _hmm_cfg(args, args.seed))
+    model = hmm_train(corpus, cfg)
     store_model(model, args.out)
     print(f"trained {model.class_count}-class model on {len(corpus)} items; wrote {args.out}")
     return EXIT_OK

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .frames import FrameSet, FrameSetKind
+from .frames import FrameSet
 
 __all__ = ["DEFAULT_ALPHA", "reduce_frameset"]
 
@@ -28,17 +28,17 @@ def reduce_frameset(
     alpha: float = DEFAULT_ALPHA,
     *,
     init: str = "first_frame",
-) -> FrameSet:
+) -> np.ndarray:
     """Run the loopback filter over a raw frame set, row by slow-time row.
 
-    ``init`` selects the unobservable pre-first-frame clutter estimate:
-    ``"first_frame"`` (default) seeds it with the first raw frame, which
-    makes the first reduced row exactly zero and keeps the whole map
-    linear in the input; ``"zero"`` starts from an empty scene estimate
-    and admits a startup transient proportional to the static background.
+    Returns the reduced ``(M, N)`` map as a read-only float32 array; its
+    values may be negative.  ``init`` selects the unobservable
+    pre-first-frame clutter estimate: ``"first_frame"`` (default) seeds it
+    with the first raw frame, which makes the first reduced row exactly
+    zero and keeps the whole map linear in the input; ``"zero"`` starts
+    from an empty scene estimate and admits a startup transient
+    proportional to the static background.
     """
-    if raw.kind is not FrameSetKind.RAW:
-        raise DomainError("reduce_frameset expects a raw frame set")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if init not in ("first_frame", "zero"):
@@ -53,10 +53,6 @@ def reduce_frameset(
         # point exact, so a converged estimate reduces to exactly zero.
         c = c + one_minus * (data[m] - c)
         reduced[m] = data[m] - c
-    return FrameSet(
-        reduced,
-        frame_rate_hz=raw.frame_rate_hz,
-        range_m=raw.range_m,
-        kind=FrameSetKind.CLUTTER_REDUCED,
-        label=raw.label,
-    )
+    reduced = reduced.astype(np.float32)  # the map keeps the raw samples' precision
+    reduced.setflags(write=False)
+    return reduced

@@ -4,7 +4,7 @@ The extractor turns an ``M x N`` frame set into six feature rows of
 length ``K = floor(M*N / D)``:
 
 1. DC-removed, downsampled RMS envelope of the concatenated raw frames.
-2. The same pipeline applied to the clutter-reduced frame set.
+2. The same pipeline applied to the clutter-reduced map.
 3, 4. Regression-weighted local slopes (deltas) of rows 1 and 2.
 5, 6. Deltas of rows 3 and 4 (second derivatives).
 """
@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter import DEFAULT_ALPHA, reduce_frameset
 from .errors import DimensionError, DomainError, FormatError
-from .frames import FrameSet, FrameSetKind
+from .frames import FrameSet
 
 __all__ = [
     "FerasecConfig",
@@ -98,13 +98,13 @@ class FeatureMatrix:
         )
 
 
-def vectorize(fs: FrameSet) -> np.ndarray:
-    """Concatenate the frames of ``fs`` top-to-bottom into one row vector.
+def vectorize(frames: np.ndarray) -> np.ndarray:
+    """Concatenate the rows of an ``(M, N)`` frame matrix top-to-bottom into one vector.
 
     Element ``(m, n)`` of the matrix lands at position ``(m-1)*N + n``
     (1-based) of the result.
     """
-    return fs.data.astype(np.float64).reshape(-1)
+    return np.asarray(frames, dtype=np.float64).reshape(-1)
 
 
 def rms_envelope(f: np.ndarray, window: int) -> np.ndarray:
@@ -184,13 +184,10 @@ def delta(z: np.ndarray, delta_window: int) -> np.ndarray:
 
 def extract_features(raw: FrameSet, cfg: FerasecConfig = FerasecConfig()) -> FeatureMatrix:
     """Run the full six-row pipeline; rows 1-2 sum only the windows downsampling keeps."""
-    if raw.kind is not FrameSetKind.RAW:
-        raise DomainError("extract_features expects a raw frame set")
-
     def envelope_row(f: np.ndarray) -> np.ndarray:
         return remove_dc(_windowed_rms(f, cfg.window, _kept_samples(f.size, cfg.downsample)))
 
-    row1 = envelope_row(vectorize(raw))
+    row1 = envelope_row(vectorize(raw.data))
     row2 = envelope_row(vectorize(reduce_frameset(raw, cfg.alpha)))
     row3 = delta(row1, cfg.delta_window)
     row4 = delta(row2, cfg.delta_window)

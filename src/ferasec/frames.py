@@ -5,14 +5,13 @@ amplitudes over ``N`` fast-time bins (bin ``n`` of ``N`` spans
 ``(n/N) * range_m`` meters from the antenna).  A *frame set* stacks ``M``
 consecutive frames in slow-time order into an ``M x N`` matrix.
 
+A frame set is a raw capture: every amplitude lies in [0, 100].
 Amplitudes are stored as little-endian IEEE-754 32-bit floats both in
-memory and on disk, so persistence round-trips are bit-exact and
-clutter-reduced sets (which may be negative) reuse the same format.
+memory and on disk, so persistence round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
-import enum
 import os
 import struct
 from dataclasses import dataclass, field
@@ -30,8 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Frame",
-    "FrameSetKind",
     "FrameSet",
     "ManifestEntry",
     "CorpusManifest",
@@ -51,51 +48,15 @@ DEFAULT_FRAME_RATE_HZ = 200.0
 DEFAULT_RANGE_M = 1.0
 
 
-class FrameSetKind(enum.IntEnum):
-    RAW = 0
-    CLUTTER_REDUCED = 1
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One radar sweep: amplitudes over fast-time bins."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
-        if amps.ndim != 1 or amps.size == 0:
-            raise DimensionError("frame amplitudes must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(amps)):
-            raise DomainError("frame amplitudes must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n(self) -> int:
-        """Fast-time bin count."""
-        return int(self.amplitudes.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self.amplitudes.shape == other.amplitudes.shape and bool(
-            np.all(self.amplitudes == other.amplitudes)
-        )
-
-
 @dataclass(frozen=True)
 class FrameSet:
-    """``M x N`` matrix of amplitudes with slow-time/fast-time semantics.
-
-    Raw (unprocessed) sets must have every amplitude in [0, 100];
-    clutter-reduced sets may be negative.  Instances are immutable.
+    """``M x N`` matrix of raw amplitudes in [0, 100] with slow-time/fast-time
+    semantics.  Instances are immutable.
     """
 
     data: np.ndarray
     frame_rate_hz: float = DEFAULT_FRAME_RATE_HZ
     range_m: float = DEFAULT_RANGE_M
-    kind: FrameSetKind = FrameSetKind.RAW
     label: str | None = None
 
     def __post_init__(self) -> None:
@@ -104,8 +65,7 @@ class FrameSet:
             raise DimensionError("frame-set data must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(data)):
             raise DomainError("frame-set amplitudes must be finite")
-        kind = FrameSetKind(self.kind)
-        if kind is FrameSetKind.RAW and (data.min() < 0.0 or data.max() > 100.0):
+        if data.min() < 0.0 or data.max() > 100.0:
             raise DomainError("raw frame-set amplitudes must lie in [0, 100]")
         # Headers persist as 32-bit floats; coerce now so round-trips are exact.
         rate = float(np.float32(self.frame_rate_hz))
@@ -118,7 +78,6 @@ class FrameSet:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "frame_rate_hz", rate)
         object.__setattr__(self, "range_m", rng)
-        object.__setattr__(self, "kind", kind)
 
     @property
     def m(self) -> int:
@@ -130,11 +89,11 @@ class FrameSet:
         """Fast-time bin count."""
         return int(self.data.shape[1])
 
-    def frame(self, m: int) -> Frame:
-        """Return the frame at 1-based slow-time index ``m``."""
+    def frame(self, m: int) -> np.ndarray:
+        """Return the frame at 1-based slow-time index ``m`` as float64 amplitudes."""
         if not 1 <= m <= self.m:
             raise DomainError(f"slow-time index {m} outside 1..{self.m}")
-        return Frame(self.data[m - 1].astype(np.float64))
+        return self.data[m - 1].astype(np.float64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameSet):
@@ -144,7 +103,6 @@ class FrameSet:
             and bool(np.all(self.data == other.data))
             and self.frame_rate_hz == other.frame_rate_hz
             and self.range_m == other.range_m
-            and self.kind == other.kind
             and self.label == other.label
         )
 
@@ -161,7 +119,7 @@ def store_frameset(fs: FrameSet, path: str | Path) -> None:
         fs.m,
         np.float32(fs.frame_rate_hz),
         np.float32(fs.range_m),
-        int(fs.kind),
+        0,  # kind byte: a raw capture, the only kind
         b"\x00\x00\x00",
     )
     payload = np.ascontiguousarray(fs.data, dtype="<f4").tobytes()
@@ -180,10 +138,8 @@ def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
         raise FormatError("fast-time bin count must be positive", offset=4)
     if m == 0:
         raise FormatError("frame count must be positive", offset=8)
-    try:
-        kind = FrameSetKind(kind_byte)
-    except ValueError:
-        raise FormatError(f"unknown kind byte {kind_byte}", offset=20) from None
+    if kind_byte != 0:
+        raise FormatError(f"kind byte must be 0 (raw capture), got {kind_byte}", offset=20)
     if reserved != b"\x00\x00\x00":
         raise FormatError("reserved bytes must be zero", offset=21)
     expected = m * n * 4
@@ -195,13 +151,13 @@ def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
         )
     data = np.frombuffer(blob, dtype="<f4", count=m * n, offset=HEADER_SIZE).reshape(m, n)
     try:
-        return FrameSet(data, rate, range_m, kind, label)
+        return FrameSet(data, rate, range_m, label)
     except DomainError as exc:
         raise FormatError(f"stored values violate frame-set invariants: {exc}", offset=HEADER_SIZE)
 
 
 def pearson_correlation(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -> float:
-    """Pearson correlation coefficient of two equal-length vectors.
+    """Pearson correlation coefficient of two equal-length finite vectors.
 
     Raises :class:`DegenerateInputError` when either vector has zero
     variance; a constant radar frame indicates a broken capture and must
@@ -215,6 +171,8 @@ def pearson_correlation(p: Sequence[float] | np.ndarray, q: Sequence[float] | np
         raise DimensionError(f"length mismatch: {pv.size} vs {qv.size}")
     if pv.size < 2:
         raise DomainError("correlation needs at least two samples")
+    if not (np.all(np.isfinite(pv)) and np.all(np.isfinite(qv))):
+        raise DomainError("correlation inputs must be finite")
     pc = pv - pv.mean()
     qc = qv - qv.mean()
     pp = float(pc @ pc)
@@ -225,18 +183,17 @@ def pearson_correlation(p: Sequence[float] | np.ndarray, q: Sequence[float] | np
     return float(min(1.0, max(-1.0, rho)))
 
 
-def positioning_check(reference: Frame, live: Frame, threshold: float) -> tuple[float, bool]:
+def positioning_check(reference: np.ndarray, live: np.ndarray, threshold: float) -> tuple[float, bool]:
     """Correlate a live frame against the preset-position reference frame.
 
+    Both frames are 1-D amplitude vectors over the same fast-time bins.
     Returns ``(rho, passed)`` with ``passed == (rho > threshold)``.  The
     threshold gates whether the articulators are back at the preset
     position and angle within tolerance.
     """
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold}")
-    if reference.n != live.n:
-        raise DimensionError(f"frame length mismatch: {reference.n} vs {live.n}")
-    rho = pearson_correlation(reference.amplitudes, live.amplitudes)
+    rho = pearson_correlation(reference, live)
     return rho, rho > threshold
 
 

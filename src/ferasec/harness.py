@@ -150,7 +150,7 @@ def item_features(manifest: CorpusManifest, method: str, cfg: FerasecConfig) -> 
         elif method == "hmm-raw":
             out.append(fs.data.T.astype(np.float64))
         else:  # hmm-clutterreduced
-            out.append(reduce_frameset(fs, cfg.alpha).data.T.astype(np.float64))
+            out.append(reduce_frameset(fs, cfg.alpha).T.astype(np.float64))
     return out
 
 

@@ -66,16 +66,20 @@ class HmmTrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.states_per_class < 1:
-            raise DomainError("states_per_class must be >= 1")
-        if self.context_window < 1 or self.context_window % 2 == 0:
+        # The model file stores these counts as u32 and the learning rate as float32.
+        counts = ("states_per_class", "context_window", "realignment_rounds", "epochs_per_round", "batch_size")
+        for name in counts:
+            value = getattr(self, name)
+            if not 1 <= value < 2**32:
+                raise DomainError(f"{name} must lie in [1, 2**32), got {value}")
+        if self.context_window % 2 == 0:
             raise DomainError("context_window must be a positive odd integer")
-        if self.realignment_rounds < 1 or self.epochs_per_round < 1:
-            raise DomainError("rounds and epochs must be >= 1")
-        if self.batch_size < 1:
-            raise DomainError("batch_size must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise DomainError("learning_rate must be positive")
+        with np.errstate(over="ignore"):
+            lr32 = np.float32(self.learning_rate)
+        if not (np.isfinite(lr32) and lr32 > 0.0):
+            raise DomainError(
+                f"learning_rate must be positive and finite as a float32, got {self.learning_rate}"
+            )
         if not 0 <= self.seed < 2**64:  # stored as a u64 in the model file
             raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if any(width < 1 for width in self.hidden):
@@ -576,11 +580,19 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         size = count * 4
         if pos + size > len(blob):
             raise FormatError("model file truncated", offset=pos)
-        # A signalling NaN payload would warn in the cast; every non-finite
-        # value is rejected after loading instead.
+        # A signalling NaN payload would warn in the cast; non-finite values
+        # are rejected by the caller instead.
         with np.errstate(invalid="ignore"):
             arr = np.frombuffer(view, dtype="<f4", count=count, offset=pos).astype(np.float64)
         pos += size
+        return arr
+
+    def take_finite(count: int, what: str) -> np.ndarray:
+        start = pos
+        arr = take_floats(count)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise FormatError(f"{what} must be finite", offset=start + 4 * int(np.argmin(finite)))
         return arr
 
     def take_stochastic(shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -625,8 +637,8 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         fan_in, fan_out = take("<II")
         if fan_in == 0 or fan_out == 0:
             raise FormatError(f"layer {i} has a zero fan-in or fan-out", offset=pos - 8)
-        weights.append(take_floats(fan_in * fan_out).reshape(fan_in, fan_out))
-        biases.append(take_floats(fan_out))
+        weights.append(take_finite(fan_in * fan_out, f"layer {i} weights").reshape(fan_in, fan_out))
+        biases.append(take_finite(fan_out, f"layer {i} biases"))
         if i < layer_count - 1:
             hidden.append(fan_out)
     if pos != len(blob):

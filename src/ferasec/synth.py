@@ -26,7 +26,6 @@ from .frames import (
     DEFAULT_RANGE_M,
     CorpusManifest,
     FrameSet,
-    FrameSetKind,
     ManifestEntry,
     store_frameset,
     store_manifest,
@@ -141,6 +140,10 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise DomainError(f"{name} must be finite and non-negative, got {value}")
+        for name in ("onset_jitter_s", "position_jitter_m"):
+            value = getattr(self, name)
+            if not math.isfinite(2.0 * value):
+                raise DomainError(f"2 * {name}, its uniform draw's width, must be finite, got {value}")
         if not 0.0 <= self.duration_jitter_fraction < 0.5:
             raise DomainError(
                 f"duration_jitter_fraction must lie in [0, 0.5), got {self.duration_jitter_fraction}"
@@ -184,7 +187,6 @@ def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSe
         data,
         frame_rate_hz=DEFAULT_FRAME_RATE_HZ,
         range_m=DEFAULT_RANGE_M,
-        kind=FrameSetKind.RAW,
         label=script.label,
     )
 

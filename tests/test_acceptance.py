@@ -21,7 +21,7 @@ from ferasec.features import (
     remove_dc,
     rms_envelope,
 )
-from ferasec.frames import Frame, FrameSet, pearson_correlation, positioning_check
+from ferasec.frames import FrameSet, pearson_correlation, positioning_check
 from ferasec.harness import loocv, report_to_text
 from ferasec.hmm import (
     HmmTrainingConfig,
@@ -144,13 +144,13 @@ def test_criterion_2_clutter_filter():
     for _ in range(100):
         row = rng.uniform(0.0, 100.0, size=int(rng.integers(4, 64))).astype(np.float32)
         fs = FrameSet(np.tile(row, (int(rng.integers(1, 40)), 1)))
-        assert np.all(reduce_frameset(fs, 0.95).data == 0.0)
+        assert np.all(reduce_frameset(fs, 0.95) == 0.0)
 
     # Constant input, zero init: max-norm within a factor 1.01 of alpha^m.
     for alpha in (0.8, 0.95, 0.99):
         row = np.full(32, 64.0)
         fs = FrameSet(np.tile(row, (60, 1)))
-        norms = np.abs(reduce_frameset(fs, alpha, init="zero").data.astype(float)).max(axis=1)
+        norms = np.abs(reduce_frameset(fs, alpha, init="zero").astype(float)).max(axis=1)
         for m in range(1, 61):
             expected = alpha**m * 64.0
             assert expected / 1.01 <= norms[m - 1] <= expected * 1.01
@@ -161,9 +161,9 @@ def test_criterion_2_clutter_filter():
         x = rng.uniform(0.0, 40.0, (m, n))
         y = rng.uniform(0.0, 40.0, (m, n))
         a, b = float(rng.uniform(0.1, 1.2)), float(rng.uniform(0.1, 1.2))
-        fx = reduce_frameset(FrameSet(x), 0.95).data.astype(float)
-        fy = reduce_frameset(FrameSet(y), 0.95).data.astype(float)
-        fc = reduce_frameset(FrameSet(a * x + b * y), 0.95).data.astype(float)
+        fx = reduce_frameset(FrameSet(x), 0.95).astype(float)
+        fy = reduce_frameset(FrameSet(y), 0.95).astype(float)
+        fc = reduce_frameset(FrameSet(a * x + b * y), 0.95).astype(float)
         scale = max(np.abs(fc).max(), 1e-9)
         assert np.abs(fc - (a * fx + b * fy)).max() <= 1e-6 * scale
 
@@ -342,7 +342,7 @@ def test_criterion_10_positioning_aid():
     rng = np.random.default_rng(110)
 
     # Self-correlation is exactly 1 and passes any threshold.
-    frame = Frame(rng.uniform(0.0, 100.0, size=256))
+    frame = rng.uniform(0.0, 100.0, size=256)
     rho, passed = positioning_check(frame, frame, 0.95)
     assert rho == 1.0 and passed
 
@@ -355,9 +355,9 @@ def test_criterion_10_positioning_aid():
         assert abs(pearson_correlation(p, q) - pearson_correlation(p, a * q + b)) < 1e-12
 
     # Threshold gating: pass if and only if rho exceeds the threshold.
-    reference = Frame(np.sin(np.linspace(0.0, 6.0, 256)) * 40.0 + 50.0)
-    near = Frame(reference.amplitudes + rng.normal(0.0, 1.0, 256))
-    far = Frame(np.roll(reference.amplitudes, 64))
+    reference = np.sin(np.linspace(0.0, 6.0, 256)) * 40.0 + 50.0
+    near = reference + rng.normal(0.0, 1.0, 256)
+    far = np.roll(reference, 64)
     rho_near, pass_near = positioning_check(reference, near, 0.95)
     rho_far, pass_far = positioning_check(reference, far, 0.95)
     assert pass_near == (rho_near > 0.95)

@@ -1,16 +1,19 @@
-"""Every per-layer benchmark metric named after a function names a real one.
+"""The library surface that ``bench/`` relies on.
 
 ``bench/run.py`` fails when a metric listed in ``BENCHMARK.json`` is not
 produced, and ``bench/spans.py`` produces ``<layer>.<function>.*``
 metrics only for module-level, non-underscore functions defined in
-``ferasec.<layer>``.  Removing or renaming such a function must fail here,
-in the quick suite, rather than in the benchmark.
+``ferasec.<layer>``.  Removing or renaming such a function, or changing
+a type the workers read, must fail here, in the quick suite, rather than
+in the benchmark.
 """
 
 import importlib
 import inspect
 import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +36,13 @@ def test_per_layer_function_metrics_name_public_functions():
         )
         checked.add(f"{layer}.{function}")
     assert checked  # the guard must not pass by matching nothing
+
+
+def test_bench_smoke_run_passes():
+    # Every workload at tiny sizes, untraced and traced, with its output checks.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    assert proc.stdout.strip().splitlines()[-1] == "smoke: ok"

@@ -343,6 +343,32 @@ class TestMalformedInput:
             )
             assert f"layer {layer} has a zero fan-in or fan-out (byte offset {header})" in err
 
+    def test_nan_bias_in_model(self, tmp_path, capsys):
+        path = tmp_path / "model.hmm"
+        store_model(zero_model(), path)
+        blob = path.read_bytes()
+        start = len(blob) - 4  # the last bias of the output layer
+        path.write_bytes(blob[:start] + np.float32(np.nan).tobytes())
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        err = self.assert_exit_2(
+            ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
+        )
+        assert f"layer 1 biases must be finite (byte offset {start})" in err
+
+    # The model stores the batch size as a u32 and the learning rate as a float32.
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--batch-size", str(2**32), "batch_size"), ("--learning-rate", "1e-50", "learning_rate")],
+    )
+    def test_unstorable_training_value(self, corpus_dir, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "m.hmm"
+        err = self.assert_exit_2(
+            ["train", "--corpus", str(corpus_dir / "manifest.tsv"), flag, value, "--out", str(out)], capsys
+        )
+        assert field in err
+        assert not out.exists()
+
     def test_repeated_label_in_model(self, tmp_path, capsys):
         model = zero_model()
         path = tmp_path / "model.hmm"
@@ -396,7 +422,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "flag, value",
         [("--noise", "nan"), ("--noise", "inf"), ("--onset-jitter", "inf"),
-         ("--onset-jitter", "nan"), ("--position-jitter", "inf")],
+         ("--onset-jitter", "nan"), ("--position-jitter", "inf"),
+         ("--onset-jitter", "1e308"), ("--position-jitter", "1e308")],  # 2x overflows
     )
     def test_non_finite_scene_value(self, tmp_path, capsys, flag, value):
         scripts = tmp_path / "scripts.txt"

@@ -14,9 +14,7 @@ from ferasec.errors import (
 )
 from ferasec.frames import (
     CorpusManifest,
-    Frame,
     FrameSet,
-    FrameSetKind,
     ManifestEntry,
     load_frameset,
     load_manifest,
@@ -45,10 +43,6 @@ class TestFrameSetType:
         with pytest.raises(DomainError):
             FrameSet(np.array([[-0.5, 10.0]]))
 
-    def test_clutter_reduced_may_be_negative(self):
-        fs = FrameSet(np.array([[-5.0, 3.0]]), kind=FrameSetKind.CLUTTER_REDUCED)
-        assert fs.data[0, 0] == np.float32(-5.0)
-
     def test_immutable(self):
         fs = random_raw_frameset(np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -56,8 +50,9 @@ class TestFrameSetType:
 
     def test_frame_accessor_is_one_based(self):
         fs = FrameSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert list(fs.frame(1).amplitudes) == [1.0, 2.0]
-        assert list(fs.frame(2).amplitudes) == [3.0, 4.0]
+        assert fs.frame(1).dtype == np.float64
+        assert fs.frame(1).tolist() == [1.0, 2.0]
+        assert fs.frame(2).tolist() == [3.0, 4.0]
         with pytest.raises(DomainError):
             fs.frame(0)
         with pytest.raises(DomainError):
@@ -79,18 +74,12 @@ class TestPersistence:
     def test_round_trip_property(self, tmp_path):
         rng = np.random.default_rng(2)
         for i in range(25):
-            kind = FrameSetKind.RAW if i % 2 == 0 else FrameSetKind.CLUTTER_REDUCED
             m = int(rng.integers(1, 40))
             n = int(rng.integers(1, 80))
-            if kind is FrameSetKind.RAW:
-                data = rng.uniform(0.0, 100.0, size=(m, n)).astype(np.float32)
-            else:
-                data = rng.normal(0.0, 30.0, size=(m, n)).astype(np.float32)
             fs = FrameSet(
-                data,
+                rng.uniform(0.0, 100.0, size=(m, n)).astype(np.float32),
                 frame_rate_hz=float(rng.uniform(50.0, 400.0)),
                 range_m=float(rng.uniform(0.2, 3.0)),
-                kind=kind,
             )
             path = tmp_path / f"rt_{i}.frs"
             store_frameset(fs, path)
@@ -113,7 +102,6 @@ class TestPersistence:
         path.write_bytes(blob)
         fs = load_frameset(path)
         assert fs.m == 2 and fs.n == 4
-        assert fs.kind is FrameSetKind.RAW
         assert fs.frame_rate_hz == 200.0 and fs.range_m == 1.0
         assert fs.data.reshape(-1).tolist() == amplitudes
 
@@ -145,15 +133,18 @@ class TestPersistence:
             load_frameset(path)
 
     def test_bad_kind_byte(self, tmp_path):
+        # Kind byte 0 is a raw capture, the only kind; 1 once marked a
+        # clutter-reduced set.
         fs = FrameSet(np.full((1, 2), 1.0))
         path = tmp_path / "kind.frs"
         store_frameset(fs, path)
-        blob = bytearray(path.read_bytes())
-        blob[20] = 9
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError) as err:
-            load_frameset(path)
-        assert err.value.offset == 20
+        valid = path.read_bytes()
+        assert valid[20] == 0
+        for kind in (1, 9):
+            path.write_bytes(valid[:20] + bytes([kind]) + valid[21:])
+            with pytest.raises(FormatError) as err:
+                load_frameset(path)
+            assert err.value.offset == 20
 
     def test_label_travels_in_manifest_not_file(self, tmp_path):
         fs = FrameSet(np.full((1, 2), 1.0), label="ba")
@@ -202,10 +193,17 @@ class TestPearsonCorrelation:
         with pytest.raises(DimensionError):
             pearson_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # A NaN would otherwise come out as rho = -1.0, with no error.
+        for p, q in (([bad, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+            with pytest.raises(DomainError, match="finite"):
+                pearson_correlation(p, q)
+
 
 class TestPositioningCheck:
     def test_identical_frames_pass(self):
-        frame = Frame(np.array([1.0, 5.0, 2.0, 8.0]))
+        frame = np.array([1.0, 5.0, 2.0, 8.0])
         rho, passed = positioning_check(frame, frame, 0.95)
         assert rho == 1.0 and passed
 
@@ -214,25 +212,25 @@ class TestPositioningCheck:
         ref = rng.uniform(0.0, 100.0, size=256)
         live = np.roll(ref, 10)
         expected = pearson_by_formula(list(ref), list(live))
-        rho, passed = positioning_check(Frame(ref), Frame(live), 0.95)
+        rho, passed = positioning_check(ref, live, 0.95)
         assert rho == pytest.approx(expected, rel=1e-12)
         assert passed == (rho > 0.95)
 
     def test_constant_live_frame_raises(self):
-        ref = Frame(np.array([1.0, 2.0, 3.0]))
-        live = Frame(np.array([4.0, 4.0, 4.0]))
+        ref = np.array([1.0, 2.0, 3.0])
+        live = np.array([4.0, 4.0, 4.0])
         with pytest.raises(DegenerateInputError):
             positioning_check(ref, live, 0.9)
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5])
     def test_threshold_domain(self, threshold):
-        frame = Frame(np.array([1.0, 2.0, 3.0]))
+        frame = np.array([1.0, 2.0, 3.0])
         with pytest.raises(DomainError):
             positioning_check(frame, frame, threshold)
 
     def test_mismatched_lengths(self):
         with pytest.raises(DimensionError):
-            positioning_check(Frame(np.array([1.0, 2.0])), Frame(np.array([1.0, 2.0, 3.0])), 0.95)
+            positioning_check(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), 0.95)
 
 
 class TestManifest:
@@ -314,6 +312,7 @@ class TestLoadFramesetProperty:
             return
         assert isinstance(fs, FrameSet)
         assert fs.data.shape == (fs.m, fs.n) and np.isfinite(fs.data).all()
+        assert fs.data.min() >= 0.0 and fs.data.max() <= 100.0
 
 
 class TestLoadManifestProperty:

@@ -504,6 +504,20 @@ class TestModelPersistence:
         assert err.value.offset == start
 
 
+    def test_non_finite_weight_rejected_at_offset(self, tmp_path):
+        from ferasec.errors import FormatError
+
+        path = tmp_path / "model.hmm"
+        store_model(TrainedHmmModel(**tiny_model_kwargs()), path)
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 4  # the last bias of the output layer
+        blob[start:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="layer 1 biases must be finite") as err:
+            load_model(path)
+        assert err.value.offset == start
+
+
 def tiny_model_kwargs():
     cfg = HmmTrainingConfig(hidden=(4,), states_per_class=2, context_window=3)
     return dict(
@@ -586,6 +600,21 @@ class TestModelValidation:
         for seed in (-1, 2**64):
             with pytest.raises(DomainError, match=r"seed must lie in \[0, 2\*\*64\)"):
                 HmmTrainingConfig(seed=seed)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["states_per_class", "context_window", "realignment_rounds", "epochs_per_round", "batch_size"],
+    )
+    def test_counts_must_fit_the_stored_u32(self, field):
+        HmmTrainingConfig(**{field: 2**32 - 1})
+        with pytest.raises(DomainError, match=f"{field} must lie in \\[1, 2\\*\\*32\\)"):
+            HmmTrainingConfig(**{field: 2**32 + 1})  # odd, so context_window fails only here
+
+    def test_learning_rate_must_survive_float32(self):
+        HmmTrainingConfig(learning_rate=1e-40)  # a float32 subnormal is still positive
+        for rate in (1e-50, 1e50):  # stored as 0.0 and inf
+            with pytest.raises(DomainError, match="learning_rate"):
+                HmmTrainingConfig(learning_rate=rate)
 
     def test_config_hidden_must_match_weights(self):
         kwargs = self.base_kwargs()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ferasec.errors import DomainError, FormatError, GenerationError
-from ferasec.frames import DEFAULT_BIN_COUNT, DEFAULT_FRAME_RATE_HZ, FrameSetKind, load_frameset, load_manifest
+from ferasec.frames import DEFAULT_BIN_COUNT, DEFAULT_FRAME_RATE_HZ, load_frameset, load_manifest
 from ferasec.synth import (
     CLUTTER_PROFILE,
     ECHO_AMPLITUDE,
@@ -39,7 +39,6 @@ class TestRenderFrameset:
         script = GestureScript("quiet", (), duration_s=0.25)
         fs = render_frameset(script, cfg, seed=1)
         expected = CLUTTER_PROFILE.astype(np.float32)
-        assert fs.kind is FrameSetKind.RAW
         assert fs.m == round(0.25 * DEFAULT_FRAME_RATE_HZ)
         for row in fs.data:
             np.testing.assert_array_equal(row, expected)
@@ -120,8 +119,9 @@ class TestGenerateCorpus:
         loaded = load_manifest(tmp_path / "manifest.tsv")
         assert loaded.entries == manifest.entries
         for entry in manifest.entries:
-            fs = load_frameset(manifest.resolve(entry))
-            assert fs.kind is FrameSetKind.RAW
+            path = manifest.resolve(entry)
+            assert path.read_bytes()[20] == 0  # the raw-capture kind byte
+            load_frameset(path)
 
     def test_byte_identical_for_same_master_seed(self, tmp_path):
         scripts = [
@@ -285,3 +285,7 @@ class TestSimConfigValidation:
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(DomainError, match=field):
                     SimConfig(**{field: bad})
+        # Finite, but the uniform draw over [-x, x] has an infinite width.
+        for field in ("onset_jitter_s", "position_jitter_m"):
+            with pytest.raises(DomainError, match=field):
+                SimConfig(**{field: 1e308})
