@@ -25,7 +25,7 @@ DEFAULT_ALPHA = 0.95
 
 def reduce_frameset(
     raw: FrameSet,
-    alpha: float = DEFAULT_ALPHA,
+    alpha: float,
     *,
     init: str = "first_frame",
 ) -> np.ndarray:

@@ -129,8 +129,8 @@ def classify_1nn(
 ) -> tuple[str, float]:
     """Label of the reference with minimal warping distance to ``test``.
 
-    Ties break toward the earliest reference in the list, so results are
-    deterministic for a fixed manifest order.
+    Ties break toward the earliest reference in the list; a manifest's
+    list is in canonical ``(label, repetition, position)`` order.
     """
     distances = mddtw_distances(test, [ref for ref, _ in references], cfg)
     nearest = int(np.argmin(distances))  # first minimum = earliest reference

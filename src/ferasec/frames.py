@@ -138,6 +138,10 @@ def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
         raise FormatError("fast-time bin count must be positive", offset=4)
     if m == 0:
         raise FormatError("frame count must be positive", offset=8)
+    if not rate > 0.0:
+        raise FormatError(f"frame rate must be positive, got {rate}", offset=12)
+    if not range_m > 0.0:
+        raise FormatError(f"detection range must be positive, got {range_m}", offset=16)
     if kind_byte != 0:
         raise FormatError(f"kind byte must be 0 (raw capture), got {kind_byte}", offset=20)
     if reserved != b"\x00\x00\x00":
@@ -149,11 +153,15 @@ def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
             f"payload holds {actual} bytes but dimensions {m}x{n} require {expected}",
             offset=HEADER_SIZE + min(actual, expected),
         )
-    data = np.frombuffer(blob, dtype="<f4", count=m * n, offset=HEADER_SIZE).reshape(m, n)
-    try:
-        return FrameSet(data, rate, range_m, label)
-    except DomainError as exc:
-        raise FormatError(f"stored values violate frame-set invariants: {exc}", offset=HEADER_SIZE)
+    data = np.frombuffer(blob, dtype="<f4", count=m * n, offset=HEADER_SIZE)
+    bad = ~((data >= 0.0) & (data <= 100.0))  # NaN fails both comparisons
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(
+            f"amplitude {i} must be finite and lie in [0, 100], got {data[i]}",
+            offset=HEADER_SIZE + 4 * i,
+        )
+    return FrameSet(data.reshape(m, n), rate, range_m, label)
 
 
 def pearson_correlation(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -> float:
@@ -222,25 +230,30 @@ class ManifestEntry:
     def item_id(self) -> str:
         return self.path
 
+    @property
+    def key(self) -> tuple[str, int, str]:
+        """``(label, repetition, position)``: unique within a manifest, and its sort key."""
+        return (self.label, self.repetition, self.position)
+
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """Labeled index of frame-set files belonging to one corpus."""
+    """Labeled index of frame-set files belonging to one corpus; ``entries``
+    are kept sorted by :attr:`ManifestEntry.key`, whatever order they come in."""
 
     entries: tuple[ManifestEntry, ...]
     root: Path = field(default_factory=Path)
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+        entries = tuple(sorted(self.entries, key=lambda e: e.key))
         if not entries:
             raise DomainError("manifest must contain at least one entry")
         seen: set[tuple[str, int, str]] = set()
         paths: set[str] = set()
         for e in entries:
-            key = (e.label, e.repetition, e.position)
-            if key in seen:
-                raise DomainError(f"duplicate (class, repetition, position) entry: {key}")
-            seen.add(key)
+            if e.key in seen:
+                raise DomainError(f"duplicate (class, repetition, position) entry: {e.key}")
+            seen.add(e.key)
             # The path is the item's identity: a repeated file would be
             # scored against itself in cross-validation.
             path = os.path.normpath(e.path)
@@ -252,12 +265,8 @@ class CorpusManifest:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        """Distinct class labels in first-appearance order."""
-        out: list[str] = []
-        for e in self.entries:
-            if e.label not in out:
-                out.append(e.label)
-        return tuple(out)
+        """Distinct class labels in sorted order, the order of the entries."""
+        return tuple(dict.fromkeys(e.label for e in self.entries))
 
     @property
     def class_count(self) -> int:

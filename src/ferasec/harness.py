@@ -12,7 +12,8 @@ Faithful LOOCV retrains per held-out item; ``fast=True`` trains once per
 class-balanced split (holding out whole repetition sessions), which
 keeps the no-leakage guarantee at a fraction of the cost.  Per-fold
 seeds derive from the master seed plus the held-out items' identities,
-so results are invariant to manifest ordering.
+and a manifest keeps its items in one canonical order, so no result
+depends on the order of manifest lines.
 
 Serialized reports carry no timestamps or timings: identical seeds must
 reproduce identical bytes.
@@ -129,10 +130,6 @@ def _map_folds(fn: Callable, jobs: Sequence) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _canonical_order(entries: Sequence[ManifestEntry]) -> list[int]:
-    return sorted(range(len(entries)), key=lambda i: (entries[i].label, entries[i].repetition, entries[i].position))
-
-
 def item_features(manifest: CorpusManifest, method: str, cfg: FerasecConfig) -> list[np.ndarray]:
     """Per-item classifier inputs for ``method``, in manifest order.
 
@@ -176,7 +173,7 @@ def _dtw_folds(
     np.fill_diagonal(distances, np.inf)  # the held-out item is never its own reference
     records = []
     for i, entry in enumerate(entries):
-        nearest = int(np.argmin(distances[i]))  # first minimum = earliest manifest order
+        nearest = int(np.argmin(distances[i]))  # first minimum = earliest canonical item
         records.append(FoldRecord(entry.item_id, entry.label, entries[nearest].label))
     return records
 
@@ -187,17 +184,13 @@ def _fold_jobs(
     """``(held-out indices, fold seed)`` for each model to train.
 
     Faithful LOOCV holds out one item per model, fast LOOCV one group of
-    repetition sessions.  Seeds key on the held-out identities and jobs
-    come in canonical item order, so results survive manifest permutation.
+    repetition sessions.  Seeds key on the held-out identities, and jobs
+    follow ``entries``, a manifest's canonical order.
     """
-    canonical = _canonical_order(entries)
     if not fast:
         if groups is not None:
             raise DomainError(f"{groups} splits given, but splits apply only to fast LOOCV")
-        return [
-            ([i], derive_seed(seed, "fold", entries[i].label, entries[i].repetition, entries[i].position))
-            for i in canonical
-        ]
+        return [([i], derive_seed(seed, "fold", *e.key)) for i, e in enumerate(entries)]
     reps = sorted({e.repetition for e in entries})
     group_count = len(reps) if groups is None else groups
     if not 1 < group_count <= len(reps):
@@ -208,7 +201,7 @@ def _fold_jobs(
     rep_groups = [tuple(reps[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     return [
         (
-            [j for j in canonical if entries[j].repetition in group],
+            [j for j, e in enumerate(entries) if e.repetition in group],
             derive_seed(seed, "group", *[str(r) for r in group]),
         )
         for group in rep_groups
@@ -222,13 +215,12 @@ def _hmm_folds(
     jobs: Sequence[tuple[list[int], int]],
 ) -> list[FoldRecord]:
     """Train one model per job on every item it does not hold out (in
-    canonical order), then classify the held-out items with it."""
-    canonical = _canonical_order(entries)
+    the order of ``entries``), then classify the held-out items with it."""
 
     def run(job: tuple[list[int], int]) -> list[FoldRecord]:
         held_out, fold_seed = job
         held = set(held_out)
-        train_idx = [j for j in canonical if j not in held]
+        train_idx = [j for j in range(len(entries)) if j not in held]
         leaked = {entries[j].item_id for j in held_out}.intersection(
             entries[j].item_id for j in train_idx
         )
@@ -285,7 +277,7 @@ def loocv(
         except TrainingError as exc:
             raise TrainingError(f"{method} cross-validation aborted: {exc}") from exc
 
-    labels = tuple(sorted(manifest.labels))
+    labels = manifest.labels
     index = {label: i for i, label in enumerate(labels)}
     by_id = {rec.item_id: rec for rec in records}
     ordered = tuple(by_id[e.item_id] for e in manifest.entries)

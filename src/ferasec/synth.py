@@ -156,8 +156,15 @@ def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSe
     Onset, duration, and position jitter are drawn first from the item's
     own generator (in that fixed order), so every random stream is a pure
     function of the seed.  The position jitter shifts all reflectors
-    rigidly; the clutter background stays fixed to the room.
+    rigidly; the clutter background stays fixed to the room.  The onset
+    jitter must stay below half the script's duration, so the script's
+    midpoint always falls inside the rendered frames.
     """
+    if cfg.onset_jitter_s >= script.duration_s / 2:
+        raise GenerationError(
+            f"onset jitter {cfg.onset_jitter_s} s must be below half of script "
+            f"{script.label!r}'s duration {script.duration_s} s"
+        )
     rng = np.random.default_rng(seed)
     onset_shift = float(rng.uniform(-cfg.onset_jitter_s, cfg.onset_jitter_s))
     time_scale = float(1.0 + rng.uniform(-cfg.duration_jitter_fraction, cfg.duration_jitter_fraction))

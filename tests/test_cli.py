@@ -435,6 +435,17 @@ class TestMalformedInput:
         )
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("value", ["1e300", "30"])
+    def test_onset_jitter_beyond_half_the_script(self, tmp_path, capsys, value):
+        scripts = tmp_path / "scripts.txt"
+        scripts.write_text(SCRIPTS_TEXT, encoding="utf-8")
+        err = self.assert_exit_2(
+            ["generate", "--scripts", str(scripts), "--reps", "2", "--onset-jitter", value,
+             "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert f"onset jitter {float(value)} s" in err and "duration 0.45 s" in err
+
     @pytest.mark.parametrize("flags", [["--fast-groups", "1"], ["--fast-loocv", "--fast-groups", "99"]])
     def test_fast_flags_rejected_for_dtw_loocv(self, corpus_dir, capsys, flags):
         self.assert_exit_2(

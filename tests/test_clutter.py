@@ -94,4 +94,4 @@ class TestReduceFrameset:
     def test_rejects_bad_init(self):
         fs = FrameSet(np.zeros((2, 3)))
         with pytest.raises(DomainError):
-            reduce_frameset(fs, init="midway")
+            reduce_frameset(fs, 0.95, init="midway")

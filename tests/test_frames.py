@@ -146,6 +146,32 @@ class TestPersistence:
                 load_frameset(path)
             assert err.value.offset == 20
 
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -200.0])
+    @pytest.mark.parametrize("offset", [12, 16])  # frame rate, detection range
+    def test_bad_header_value_names_its_offset(self, tmp_path, offset, value):
+        path = tmp_path / "header.frs"
+        store_frameset(FrameSet(np.full((2, 3), 7.0)), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            load_frameset(path)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, 100.5])
+    def test_bad_amplitude_names_its_offset(self, tmp_path, value):
+        path = tmp_path / "amplitude.frs"
+        store_frameset(FrameSet(np.full((2, 3), 7.0)), path)
+        valid = path.read_bytes()
+        for i in (0, 4):
+            blob = bytearray(valid)
+            for j in (i, 5):  # the first bad amplitude is the one located
+                blob[24 + 4 * j:28 + 4 * j] = struct.pack("<f", value)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(FormatError) as err:
+                load_frameset(path)
+            assert err.value.offset == 24 + 4 * i
+
     def test_label_travels_in_manifest_not_file(self, tmp_path):
         fs = FrameSet(np.full((1, 2), 1.0), label="ba")
         path = tmp_path / "lbl.frs"
@@ -252,6 +278,16 @@ class TestManifest:
         assert loaded.reps_per_class == 2
         assert loaded.root == tmp_path
 
+    def test_entries_kept_in_canonical_order(self):
+        entries = self.entries()[::-1] + (ManifestEntry("a_1_low.frs", "a", 1, "lower", 31),)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            manifest = CorpusManifest(tuple(entries[i] for i in rng.permutation(len(entries))))
+            assert [e.path for e in manifest.entries] == [
+                "a_1_low.frs", "a_1.frs", "a_2.frs", "b_1.frs", "b_2.frs"
+            ]
+            assert manifest.labels == ("a", "b")
+
     def test_duplicate_class_rep_position_rejected(self):
         dup = self.entries() + (ManifestEntry("x.frs", "a", 1, "upper", 99),)
         with pytest.raises(DomainError):
@@ -308,7 +344,14 @@ class TestLoadFramesetProperty:
         path.write_bytes(edited(valid, edits, keep, tail) if noise is None else noise)
         try:
             fs = load_frameset(path)
-        except FerasecError:
+        except FerasecError as exc:
+            # A failure is a format error at an offset inside the file or
+            # at its end; an amplitude error points at the bad value itself.
+            blob = path.read_bytes()
+            assert isinstance(exc, FormatError)
+            assert exc.offset is not None and 0 <= exc.offset <= len(blob)
+            if "amplitude" in str(exc):
+                assert not 0.0 <= struct.unpack_from("<f", blob, exc.offset)[0] <= 100.0
             return
         assert isinstance(fs, FrameSet)
         assert fs.data.shape == (fs.m, fs.n) and np.isfinite(fs.data).all()

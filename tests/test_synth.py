@@ -78,6 +78,14 @@ class TestRenderFrameset:
         with pytest.raises(GenerationError, match="leaves"):
             render_frameset(bad, cfg, seed=4)
 
+    def test_onset_jitter_stays_below_half_the_duration(self):
+        # Beyond that bound the script's midpoint can fall outside the frames.
+        script = single_reflector_script(0.5, duration=0.5)
+        render_frameset(script, quiet_config(onset_jitter_s=0.249), seed=7)
+        for jitter in (0.25, 30.0, 1e300):
+            with pytest.raises(GenerationError, match=r"onset jitter .* duration 0\.5 s"):
+                render_frameset(script, quiet_config(onset_jitter_s=jitter), seed=7)
+
     def test_bump_moves_echo(self):
         script = single_reflector_script(0.3, duration=1.0, bumps=(GestureBump(0.5, 0.1, 0.2),))
         echo = echo_only(render_frameset(script, quiet_config(), seed=5))
