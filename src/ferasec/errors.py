@@ -1,11 +1,23 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the two file readers.
 
 Input-validation failures map to CLI exit code 2, numeric failures to 3.
+
+:func:`read_utf8` reads the text files (manifests, gesture scripts);
+:class:`ByteReader` reads the binary ones (frame sets, feature matrices,
+models).  A malformed binary file is a :class:`FormatError` at a byte
+offset, by one rule for every format: a bad header field at the field's
+offset, a bad value at the value's offset, a short file at its end
+(where the missing bytes should be) and trailing bytes at the end of
+the payload.
 """
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 
 class FerasecError(Exception):
@@ -52,3 +64,41 @@ def read_utf8(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})", offset=exc.start) from None
+
+
+class ByteReader:
+    """Cursor over the bytes of a binary file; each read advances it."""
+
+    def __init__(self, path: str | Path):
+        self.blob = Path(path).read_bytes()
+        self.pos = 0
+
+    def _advance(self, size: int) -> int:
+        start, end = self.pos, self.pos + size
+        if end > len(self.blob):
+            raise FormatError(f"file truncated: {end} bytes needed, {len(self.blob)} present", offset=len(self.blob))
+        self.pos = end
+        return start
+
+    def take(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt)))
+
+    def take_bytes(self, count: int) -> bytes:
+        return self.blob[self._advance(count) : self.pos]
+
+    def floats(self, count: int, ok: Callable | None = None, message: str = "") -> np.ndarray:
+        """``count`` little-endian float32 values as a read-only view.  The
+        first value where the mask ``ok(values)`` is false fails at its own
+        offset with ``message``, formatted with its index ``i`` and ``value``."""
+        start = self._advance(4 * count)
+        values = np.frombuffer(self.blob, dtype="<f4", count=count, offset=start)
+        if ok is not None:
+            good = ok(values)
+            if not good.all():
+                i = int(np.argmin(good))
+                raise FormatError(message.format(i=i, value=values[i]), offset=start + 4 * i)
+        return values
+
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            raise FormatError(f"{len(self.blob) - self.pos} trailing bytes after the payload", offset=self.pos)

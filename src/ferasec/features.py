@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter import DEFAULT_ALPHA, reduce_frameset
-from .errors import DimensionError, DomainError, FormatError
+from .errors import ByteReader, DimensionError, DomainError, FormatError
 from .frames import FrameSet
 
 __all__ = [
@@ -207,24 +207,12 @@ def store_features(matrix: FeatureMatrix | np.ndarray, path: str | Path) -> None
 
 def load_features(path: str | Path) -> np.ndarray:
     """Read a feature matrix written by :func:`store_features`."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _FEATURES_HEADER.size:
-        raise FormatError(f"file too short for header: {len(blob)} bytes", offset=len(blob))
-    magic, rows, length = _FEATURES_HEADER.unpack_from(blob, 0)
+    reader = ByteReader(path)
+    magic, rows, length = reader.take(_FEATURES_HEADER.format)
     if magic != FEATURES_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {FEATURES_MAGIC!r}", offset=0)
     if rows == 0 or length == 0:
         raise FormatError("feature matrix dimensions must be positive", offset=4)
-    expected = rows * length * 4
-    actual = len(blob) - _FEATURES_HEADER.size
-    if actual != expected:
-        raise FormatError(
-            f"payload holds {actual} bytes but dimensions {rows}x{length} require {expected}",
-            offset=_FEATURES_HEADER.size + min(actual, expected),
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=rows * length, offset=_FEATURES_HEADER.size)
-    finite = np.isfinite(data)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FormatError("feature values must be finite", offset=_FEATURES_HEADER.size + 4 * bad)
-    return data.reshape(rows, length).astype(np.float64)
+    values = reader.floats(rows * length, np.isfinite, "feature values must be finite")
+    reader.end()
+    return values.reshape(rows, length).astype(np.float64)

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ByteReader,
     DegenerateInputError,
     DimensionError,
     DomainError,
@@ -42,7 +43,6 @@ __all__ = [
 
 FRAMESET_MAGIC = b"FRS1"
 _HEADER = struct.Struct("<4sIIffB3s")  # magic, N, M, frame_rate_hz, range_m, kind, reserved
-HEADER_SIZE = _HEADER.size
 DEFAULT_BIN_COUNT = 256
 DEFAULT_FRAME_RATE_HZ = 200.0
 DEFAULT_RANGE_M = 1.0
@@ -128,10 +128,8 @@ def store_frameset(fs: FrameSet, path: str | Path) -> None:
 
 def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
     """Read a frame set written by :func:`store_frameset`."""
-    blob = Path(path).read_bytes()
-    if len(blob) < HEADER_SIZE:
-        raise FormatError(f"file too short for header: {len(blob)} bytes", offset=len(blob))
-    magic, n, m, rate, range_m, kind_byte, reserved = _HEADER.unpack_from(blob, 0)
+    reader = ByteReader(path)
+    magic, n, m, rate, range_m, kind_byte, reserved = reader.take(_HEADER.format)
     if magic != FRAMESET_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {FRAMESET_MAGIC!r}", offset=0)
     if n == 0:
@@ -146,21 +144,9 @@ def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
         raise FormatError(f"kind byte must be 0 (raw capture), got {kind_byte}", offset=20)
     if reserved != b"\x00\x00\x00":
         raise FormatError("reserved bytes must be zero", offset=21)
-    expected = m * n * 4
-    actual = len(blob) - HEADER_SIZE
-    if actual != expected:
-        raise FormatError(
-            f"payload holds {actual} bytes but dimensions {m}x{n} require {expected}",
-            offset=HEADER_SIZE + min(actual, expected),
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=m * n, offset=HEADER_SIZE)
-    bad = ~((data >= 0.0) & (data <= 100.0))  # NaN fails both comparisons
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise FormatError(
-            f"amplitude {i} must be finite and lie in [0, 100], got {data[i]}",
-            offset=HEADER_SIZE + 4 * i,
-        )
+    data = reader.floats(m * n, lambda v: (v >= 0.0) & (v <= 100.0),  # NaN fails both comparisons
+                         "amplitude {i} must be finite and lie in [0, 100], got {value}")
+    reader.end()
     return FrameSet(data.reshape(m, n), rate, range_m, label)
 
 

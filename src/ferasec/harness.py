@@ -45,6 +45,7 @@ __all__ = [
     "item_features",
     "loocv",
     "format_report",
+    "check_report_labels",
     "report_to_text",
     "write_report",
 ]
@@ -114,7 +115,9 @@ def _max_workers() -> int:
         workers = int(raw)
     except ValueError:
         raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, workers)
+    if workers < 1:
+        raise DomainError(f"{THREADS_ENV_VAR} must be at least 1, got {raw!r}")
+    return workers
 
 
 def _map_folds(fn: Callable, jobs: Sequence) -> list:
@@ -317,11 +320,16 @@ def format_report(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_text(report: EvaluationReport) -> str:
-    """Machine-readable key=value serialization; byte-stable across reruns."""
-    for label in report.labels:
+def check_report_labels(labels: Sequence[str]) -> None:
+    """Reject a label that the key=value report cannot hold: one with ``,``, ``=`` or a newline."""
+    for label in labels:
         if "," in label or "=" in label or "\n" in label:
             raise DomainError(f"label {label!r} cannot be serialized in key=value form")
+
+
+def report_to_text(report: EvaluationReport) -> str:
+    """Machine-readable key=value serialization; byte-stable across reruns."""
+    check_report_labels(report.labels)
     lines = [
         f"method={report.method}",
         f"classes={len(report.labels)}",

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ByteReader,
     DimensionError,
     DomainError,
     FormatError,
@@ -46,6 +47,8 @@ __all__ = [
 
 MODEL_MAGIC = b"HMM1"
 MODEL_VERSION = 1
+# magic, version, B, S, context window, layers, seed, rounds, epochs, batch, learning rate
+_MODEL_HEADER = struct.Struct("<4sIIIIIQIIIf")
 # Floor of every state prior, so each scaled likelihood stays finite.
 PRIOR_FLOOR = 1e-8
 
@@ -527,17 +530,13 @@ def store_model(model: TrainedHmmModel, path: str | Path) -> None:
     """Serialize a trained model; numeric payloads are little-endian float32."""
     cfg = model.config
     out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack(
-        "<IIIII",
+    out += _MODEL_HEADER.pack(
+        MODEL_MAGIC,
         MODEL_VERSION,
         model.class_count,
         cfg.states_per_class,
         cfg.context_window,
         len(model.weights),
-    )
-    out += struct.pack(
-        "<QIIIf",
         cfg.seed,
         cfg.realignment_rounds,
         cfg.epochs_per_round,
@@ -556,97 +555,64 @@ def store_model(model: TrainedHmmModel, path: str | Path) -> None:
     Path(path).write_bytes(bytes(out))
 
 
+def _take_stochastic(reader: ByteReader, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Float block whose last-axis sums must be finite and positive, renormalized."""
+    start = reader.pos
+    # A signalling NaN warns in the cast, +inf plus -inf in the sum; both fail below.
+    with np.errstate(invalid="ignore"):
+        block = reader.floats(math.prod(shape)).astype(np.float64).reshape(shape)
+        sums = block.sum(axis=-1, keepdims=True)
+    bad = ~(np.isfinite(sums) & (sums > 0.0))
+    if bad.any():
+        first = int(np.argmax(bad.reshape(-1)))
+        raise FormatError(f"{what} must have a finite positive sum", offset=start + 4 * shape[-1] * first)
+    return block / sums
+
+
 def load_model(path: str | Path) -> TrainedHmmModel:
     """Read a model written by :func:`store_model`.
 
     Transition rows and priors are renormalized after the float32
     round-trip so the stochastic invariants hold exactly again.
     """
-    blob = Path(path).read_bytes()
-    view = memoryview(blob)
-    pos = 0
-
-    def take(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(blob):
-            raise FormatError("model file truncated", offset=pos)
-        vals = struct.unpack_from(fmt, view, pos)
-        pos += size
-        return vals
-
-    def take_floats(count: int) -> np.ndarray:
-        nonlocal pos
-        size = count * 4
-        if pos + size > len(blob):
-            raise FormatError("model file truncated", offset=pos)
-        # A signalling NaN payload would warn in the cast; non-finite values
-        # are rejected by the caller instead.
-        with np.errstate(invalid="ignore"):
-            arr = np.frombuffer(view, dtype="<f4", count=count, offset=pos).astype(np.float64)
-        pos += size
-        return arr
-
-    def take_finite(count: int, what: str) -> np.ndarray:
-        start = pos
-        arr = take_floats(count)
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise FormatError(f"{what} must be finite", offset=start + 4 * int(np.argmin(finite)))
-        return arr
-
-    def take_stochastic(shape: tuple[int, ...], what: str) -> np.ndarray:
-        """Float block whose last-axis sums must be finite and positive, renormalized."""
-        start = pos
-        block = take_floats(math.prod(shape)).reshape(shape)  # exact for any header sizes
-        sums = block.sum(axis=-1, keepdims=True)
-        bad = ~(np.isfinite(sums) & (sums > 0.0))
-        if bad.any():
-            first = int(np.argmax(bad.reshape(-1)))
-            raise FormatError(
-                f"{what} must have a finite positive sum", offset=start + 4 * shape[-1] * first
-            )
-        return block / sums
-
-    (magic,) = take("<4s")
+    reader = ByteReader(path)
+    magic, version, b, s, window, layer_count, seed, rounds, epochs, batch, lr = reader.take(
+        _MODEL_HEADER.format
+    )
     if magic != MODEL_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", offset=0)
-    version, b, s, window, layer_count = take("<IIIII")
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}", offset=4)
-    seed, rounds, epochs, batch, lr = take("<QIIIf")
     labels, seen = [], set()
     for _ in range(b):
-        (length,) = take("<I")
-        if pos + length > len(blob):
-            raise FormatError("model file truncated in label table", offset=pos)
+        (length,) = reader.take("<I")
+        start = reader.pos
         try:
-            label = bytes(view[pos : pos + length]).decode("utf-8")
+            label = reader.take_bytes(length).decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise FormatError("class label is not UTF-8", offset=pos + exc.start) from None
+            raise FormatError("class label is not UTF-8", offset=start + exc.start) from None
         if label in seen:
-            raise FormatError(f"repeated class label {label!r}", offset=pos)
+            raise FormatError(f"repeated class label {label!r}", offset=start)
         labels.append(label)
         seen.add(label)
-        pos += length
-    transitions = take_stochastic((b, s, s), "each transition row")
-    priors = take_stochastic((b * s,), "the state priors")
+    transitions = _take_stochastic(reader, (b, s, s), "each transition row")
+    priors = _take_stochastic(reader, (b * s,), "the state priors")
     weights, biases = [], []
-    hidden = []
     for i in range(layer_count):
-        fan_in, fan_out = take("<II")
+        start = reader.pos
+        fan_in, fan_out = reader.take("<II")
         if fan_in == 0 or fan_out == 0:
-            raise FormatError(f"layer {i} has a zero fan-in or fan-out", offset=pos - 8)
-        weights.append(take_finite(fan_in * fan_out, f"layer {i} weights").reshape(fan_in, fan_out))
-        biases.append(take_finite(fan_out, f"layer {i} biases"))
-        if i < layer_count - 1:
-            hidden.append(fan_out)
-    if pos != len(blob):
-        raise FormatError(f"{len(blob) - pos} trailing bytes after model payload", offset=pos)
+            raise FormatError(f"layer {i} has a zero fan-in or fan-out", offset=start)
+        weights.append(
+            reader.floats(fan_in * fan_out, np.isfinite, f"layer {i} weights must be finite")
+            .reshape(fan_in, fan_out)
+        )
+        biases.append(reader.floats(fan_out, np.isfinite, f"layer {i} biases must be finite"))
+    reader.end()
     cfg = HmmTrainingConfig(
         states_per_class=s,
         context_window=window,
-        hidden=tuple(hidden),
+        hidden=tuple(w.shape[1] for w in weights[:-1]),
         realignment_rounds=rounds,
         epochs_per_round=epochs,
         batch_size=batch,

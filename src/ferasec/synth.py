@@ -222,6 +222,13 @@ def generate_corpus(
     labels = [s.label for s in scripts]
     if len(set(labels)) != len(labels):
         raise DomainError("script labels must be unique")
+    owners: dict[str, str] = {}  # frame file name stem -> label; checked before any file is written
+    for label in labels:
+        stem = _FILENAME_SAFE.sub("-", label)
+        if owners.setdefault(stem, label) != label:
+            raise DomainError(
+                f"labels {owners[stem]!r} and {label!r} would share the frame files {stem}_NNN.frs"
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

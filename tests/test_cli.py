@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ferasec import harness
 from ferasec.cli import _build_parser, _ferasec_cfg, _hmm_cfg, main
 from ferasec.clutter import DEFAULT_ALPHA
 from ferasec.dtw import DtwConfig
@@ -282,6 +283,37 @@ class TestMalformedInput:
             ["generate", "--scripts", str(bad), "--reps", "2", "--out", str(tmp_path / "c")],
             capsys,
         )
+
+    def test_labels_sharing_frame_file_names(self, tmp_path, capsys):
+        # Both labels map to a-b_001.frs: nothing may be written.
+        scripts = tmp_path / "scripts.txt"
+        text = SCRIPTS_TEXT.replace("[left]", "[a b]").replace("[right]", "[a-b]")
+        scripts.write_text(text, encoding="utf-8")
+        out = tmp_path / "c"
+        err = self.assert_exit_2(
+            ["generate", "--scripts", str(scripts), "--reps", "2", "--out", str(out)], capsys
+        )
+        assert "labels 'a b' and 'a-b'" in err
+        assert not list(out.glob("*.frs")) and not (out / "manifest.tsv").exists()
+
+    def test_unserializable_report_label_fails_before_any_fold(self, tmp_path, capsys, monkeypatch):
+        scripts = tmp_path / "scripts.txt"
+        scripts.write_text(SCRIPTS_TEXT.replace("[left]", "[a=b]"), encoding="utf-8")
+        out = tmp_path / "c"
+        assert main(["generate", "--scripts", str(scripts), "--reps", "2", "--out", str(out)]) == 0
+        calls = []
+        real = harness.extract_features
+        monkeypatch.setattr(
+            harness, "extract_features", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        report = tmp_path / "r.txt"
+        err = self.assert_exit_2(
+            ["loocv", "--method", "dtw", "--corpus", str(out / "manifest.tsv"),
+             "--report", str(report)],
+            capsys,
+        )
+        assert "label 'a=b' cannot be serialized" in err
+        assert calls == [] and not report.exists()
 
     @pytest.mark.parametrize("bump", ["bump(nan, 0.05, 0.10)", "bump(0.1, 0.05, inf)"])
     def test_non_finite_bump_names_its_line(self, tmp_path, capsys, bump):

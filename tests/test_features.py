@@ -391,7 +391,10 @@ class TestLoadFeaturesProperty:
         path.write_bytes(edited(valid, edits, keep, tail) if noise is None else noise)
         try:
             values = load_features(path)
-        except FerasecError:
+        except FerasecError as exc:
+            # A failure is a format error at an offset inside the file or at its end.
+            assert isinstance(exc, FormatError)
+            assert exc.offset is not None and 0 <= exc.offset <= len(path.read_bytes())
             return
         assert values.dtype == np.float64 and values.ndim == 2 and values.size > 0
         assert np.isfinite(values).all()

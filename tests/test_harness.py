@@ -191,6 +191,12 @@ class TestHmmLoocv:
         threaded = loocv(tiny_corpus, "hmm", **kwargs)
         assert report_to_text(threaded) == report_to_text(base)
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_threads_env_must_be_a_positive_integer(self, tiny_corpus, monkeypatch, value):
+        monkeypatch.setenv("FERASEC_THREADS", value)
+        with pytest.raises(DomainError, match="FERASEC_THREADS"):
+            loocv(tiny_corpus, "hmm", seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)
+
 
 class TestBaselines:
     def test_raw_variant_plumbing(self, tiny_corpus):

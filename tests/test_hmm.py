@@ -9,6 +9,7 @@ from ferasec.errors import (
     DimensionError,
     DomainError,
     FerasecError,
+    FormatError,
     NumericError,
     TrainingError,
 )
@@ -504,6 +505,18 @@ class TestModelPersistence:
         assert err.value.offset == start
 
 
+    def test_opposite_infinities_in_a_row_rejected_at_offset(self, tmp_path):
+        # +inf plus -inf sums to NaN, which warns unless the loader expects it.
+        path = tmp_path / "model.hmm"
+        store_model(TrainedHmmModel(**tiny_model_kwargs()), path)
+        blob = bytearray(path.read_bytes())
+        start = 48 + 2 * (4 + 1)  # the first transition row, after two 1-byte labels
+        blob[start : start + 8] = np.array([np.inf, -np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="finite positive sum") as err:
+            load_model(path)
+        assert err.value.offset == start
+
     def test_non_finite_weight_rejected_at_offset(self, tmp_path):
         from ferasec.errors import FormatError
 
@@ -552,7 +565,11 @@ class TestLoadModelProperty:
         path.write_bytes(edited(valid, edits, keep, tail) if noise is None else noise)
         try:
             model = load_model(path)
-        except FerasecError:
+        except FerasecError as exc:
+            # A format error lies inside the file or at its end; a model
+            # invariant (say, an even context window) names no offset.
+            if isinstance(exc, FormatError):
+                assert exc.offset is not None and 0 <= exc.offset <= len(path.read_bytes())
             return
         assert isinstance(model, TrainedHmmModel)
 
