@@ -20,7 +20,7 @@ from .dtw import METRICS, DtwConfig, classify_1nn
 from .errors import FerasecError, NumericError, read_utf8
 from .features import FerasecConfig, extract_features, load_features, store_features
 from .frames import load_frameset, load_manifest, positioning_check
-from .harness import METHODS, check_report_labels, format_report, item_features, loocv, write_report
+from .harness import METHODS, check_report_keys, format_report, item_features, loocv, write_report
 from .hmm import HmmTrainingConfig, classify as hmm_classify, load_model, store_model, train as hmm_train
 from .synth import (
     DIFFICULTIES,
@@ -216,7 +216,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_loocv(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.corpus)
     if args.report is not None:
-        check_report_labels(manifest.labels)  # before any fold runs
+        check_report_keys(manifest.labels, [e.item_id for e in manifest.entries])  # before any fold runs
     report = loocv(
         manifest,
         args.method,

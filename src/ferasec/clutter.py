@@ -44,15 +44,22 @@ def reduce_frameset(
     if init not in ("first_frame", "zero"):
         raise DomainError(f"init must be 'first_frame' or 'zero', got {init!r}")
 
-    data = raw.data.astype(np.float64)
-    c = data[0].copy() if init == "first_frame" else np.zeros(raw.n, dtype=np.float64)
-    reduced = np.empty_like(data)
+    c = raw.data[0].astype(np.float64) if init == "first_frame" else np.zeros(raw.n)
+    row, step = np.empty_like(c), np.empty_like(c)
+    # The map keeps the raw samples' precision: each row is computed in
+    # float64 and rounded to float32 once, as it is stored.
+    reduced = np.empty(raw.data.shape, dtype=np.float32)
     one_minus = 1.0 - alpha
     for m in range(raw.m):
         # Incremental form of alpha*c + (1-alpha)*r: it keeps the fixed
         # point exact, so a converged estimate reduces to exactly zero.
-        c = c + one_minus * (data[m] - c)
-        reduced[m] = data[m] - c
-    reduced = reduced.astype(np.float32)  # the map keeps the raw samples' precision
+        # Written in place into float64 row buffers, the loop allocates
+        # nothing per frame.
+        row[...] = raw.data[m]
+        np.subtract(row, c, out=step)
+        step *= one_minus
+        c += step
+        np.subtract(row, c, out=step)
+        reduced[m] = step
     reduced.setflags(write=False)
     return reduced

@@ -124,8 +124,15 @@ def rms_envelope(f: np.ndarray, window: int) -> np.ndarray:
 
 
 def _windowed_rms(f: np.ndarray, window: int, kept: slice) -> np.ndarray:
-    """:func:`rms_envelope` at ``kept``, a basic slice, so overlapping windows stay a view."""
-    windows = sliding_window_view(np.pad(np.square(f), (window // 2, window // 2 - 1)), window)
+    """:func:`rms_envelope` at ``kept``, a basic slice, so overlapping windows stay a view.
+
+    ``f`` may be float32 (frames as stored): it is squared in float64,
+    straight into the zero-padded buffer the windows view.
+    """
+    half = window // 2
+    padded = np.zeros(f.size + window - 1)
+    np.square(f, out=padded[half : half + f.size], dtype=np.float64)
+    windows = sliding_window_view(padded, window)
     return np.sqrt(windows[kept].sum(axis=1) / window)
 
 
@@ -187,8 +194,9 @@ def extract_features(raw: FrameSet, cfg: FerasecConfig = FerasecConfig()) -> Fea
     def envelope_row(f: np.ndarray) -> np.ndarray:
         return remove_dc(_windowed_rms(f, cfg.window, _kept_samples(f.size, cfg.downsample)))
 
-    row1 = envelope_row(vectorize(raw.data))
-    row2 = envelope_row(vectorize(reduce_frameset(raw, cfg.alpha)))
+    # Rows of the float32 maps, concatenated as vectorize does, without a float64 copy.
+    row1 = envelope_row(raw.data.reshape(-1))
+    row2 = envelope_row(reduce_frameset(raw, cfg.alpha).reshape(-1))
     row3 = delta(row1, cfg.delta_window)
     row4 = delta(row2, cfg.delta_window)
     row5 = delta(row3, cfg.delta_window)

@@ -45,7 +45,7 @@ __all__ = [
     "item_features",
     "loocv",
     "format_report",
-    "check_report_labels",
+    "check_report_keys",
     "report_to_text",
     "write_report",
 ]
@@ -136,9 +136,10 @@ def _map_folds(fn: Callable, jobs: Sequence) -> list:
 def item_features(manifest: CorpusManifest, method: str, cfg: FerasecConfig) -> list[np.ndarray]:
     """Per-item classifier inputs for ``method``, in manifest order.
 
-    ``dtw`` and ``hmm`` take FERASEC features built with ``cfg``;
+    ``dtw`` and ``hmm`` take float64 FERASEC features built with ``cfg``;
     ``hmm-raw`` takes raw frames and ``hmm-clutterreduced`` frames
-    reduced with ``cfg.alpha``, one column per slow-time index.
+    reduced with ``cfg.alpha``, one column per slow-time index, as the
+    float32 values they are stored in (``train`` computes in float64).
     """
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
@@ -148,9 +149,9 @@ def item_features(manifest: CorpusManifest, method: str, cfg: FerasecConfig) -> 
         if method in ("dtw", "hmm"):
             out.append(extract_features(fs, cfg).values)
         elif method == "hmm-raw":
-            out.append(fs.data.T.astype(np.float64))
+            out.append(fs.data.T)
         else:  # hmm-clutterreduced
-            out.append(reduce_frameset(fs, cfg.alpha).T.astype(np.float64))
+            out.append(reduce_frameset(fs, cfg.alpha).T)
     return out
 
 
@@ -264,7 +265,9 @@ def loocv(
     reps_per_class = manifest.reps_per_class
 
     started = time.perf_counter()
-    # ``fast``/``fast_groups`` are validated before any item is featurized.
+    # The environment, ``fast`` and ``fast_groups`` are validated before
+    # any item is featurized.
+    _max_workers()
     if method == "dtw":
         if fast or fast_groups is not None:
             raise DomainError("fast LOOCV and its splits apply only to the MLP-HMM methods")
@@ -320,16 +323,18 @@ def format_report(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_report_labels(labels: Sequence[str]) -> None:
-    """Reject a label that the key=value report cannot hold: one with ``,``, ``=`` or a newline."""
-    for label in labels:
-        if "," in label or "=" in label or "\n" in label:
-            raise DomainError(f"label {label!r} cannot be serialized in key=value form")
+def check_report_keys(labels: Sequence[str], item_ids: Sequence[str]) -> None:
+    """Reject a label or an item id that the key=value report cannot hold:
+    one with ``,``, ``=`` or a newline."""
+    for kind, names in (("label", labels), ("item id", item_ids)):
+        for name in names:
+            if "," in name or "=" in name or "\n" in name:
+                raise DomainError(f"{kind} {name!r} cannot be serialized in key=value form")
 
 
 def report_to_text(report: EvaluationReport) -> str:
     """Machine-readable key=value serialization; byte-stable across reruns."""
-    check_report_labels(report.labels)
+    check_report_keys(report.labels, [rec.item_id for rec in report.folds])
     lines = [
         f"method={report.method}",
         f"classes={len(report.labels)}",

@@ -55,6 +55,35 @@ PRIOR_FLOOR = 1e-8
 MlpParams = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
+# Config fields that the model header stores, each with its byte offset there.
+_STORED_FIELDS = {
+    "states_per_class": 12,
+    "context_window": 16,
+    "seed": 24,
+    "realignment_rounds": 32,
+    "epochs_per_round": 36,
+    "batch_size": 40,
+    "learning_rate": 44,
+}
+
+
+def _check_stored_field(name: str, value) -> None:
+    """Reject a config value that the model file cannot hold: counts are
+    u32, the seed a u64 and the learning rate a float32."""
+    if name == "seed":
+        if not 0 <= value < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {value}")
+    elif name == "learning_rate":
+        with np.errstate(over="ignore"):
+            lr32 = np.float32(value)
+        if not (np.isfinite(lr32) and lr32 > 0.0):
+            raise DomainError(f"learning_rate must be positive and finite as a float32, got {value}")
+    elif not 1 <= value < 2**32:
+        raise DomainError(f"{name} must lie in [1, 2**32), got {value}")
+    elif name == "context_window" and value % 2 == 0:
+        raise DomainError("context_window must be a positive odd integer")
+
+
 @dataclass(frozen=True)
 class HmmTrainingConfig:
     """Training recipe; every knob is overridable, defaults are desk-scale."""
@@ -69,22 +98,8 @@ class HmmTrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # The model file stores these counts as u32 and the learning rate as float32.
-        counts = ("states_per_class", "context_window", "realignment_rounds", "epochs_per_round", "batch_size")
-        for name in counts:
-            value = getattr(self, name)
-            if not 1 <= value < 2**32:
-                raise DomainError(f"{name} must lie in [1, 2**32), got {value}")
-        if self.context_window % 2 == 0:
-            raise DomainError("context_window must be a positive odd integer")
-        with np.errstate(over="ignore"):
-            lr32 = np.float32(self.learning_rate)
-        if not (np.isfinite(lr32) and lr32 > 0.0):
-            raise DomainError(
-                f"learning_rate must be positive and finite as a float32, got {self.learning_rate}"
-            )
-        if not 0 <= self.seed < 2**64:  # stored as a u64 in the model file
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        for name in _STORED_FIELDS:
+            _check_stored_field(name, getattr(self, name))
         if any(width < 1 for width in self.hidden):
             raise DomainError(f"hidden layer widths must be >= 1, got {tuple(self.hidden)}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
@@ -119,8 +134,9 @@ class TrainedHmmModel:
             raise DimensionError(f"transitions must have shape {(b, s, s)}, got {trans.shape}")
         if priors.shape != (b * s,):
             raise DimensionError(f"priors must have shape ({b * s},), got {priors.shape}")
-        for c in range(b):
-            _check_left_to_right(trans[c])
+        fault = _transition_fault(trans)
+        if fault is not None:
+            raise DomainError(fault[1])
         if not np.all(priors > 0.0):
             raise DomainError("every state prior must be positive")
         if abs(priors.sum() - 1.0) > 1e-9:
@@ -170,17 +186,21 @@ class TrainedHmmModel:
         return tuple(zip(self.weights, self.biases))
 
 
-def _check_left_to_right(matrix: np.ndarray) -> None:
-    s = matrix.shape[0]
-    if matrix.shape != (s, s):
-        raise DimensionError("transition matrix must be square")
-    allowed = np.eye(s, dtype=bool) | np.eye(s, k=1, dtype=bool)
-    if np.any(matrix[~allowed] != 0.0):
-        raise DomainError("transitions outside the self-loop/advance structure must be exactly 0")
-    if np.any(matrix < 0.0):
-        raise DomainError("transition probabilities must be non-negative")
-    if np.max(np.abs(matrix.sum(axis=1) - 1.0)) > 1e-9:
-        raise DomainError("each transition row must sum to 1")
+def _transition_fault(trans: np.ndarray) -> tuple[int, str] | None:
+    """The first row of the (B, S, S) chains, counted over all B*S rows,
+    that breaks the left-to-right structure, and why; None if none does."""
+    s = trans.shape[-1]
+    forbidden = ~(np.eye(s, dtype=bool) | np.eye(s, k=1, dtype=bool))
+    checks = (
+        (np.any((trans != 0.0) & forbidden, axis=-1),
+         "transitions outside the self-loop/advance structure must be exactly 0"),
+        (np.any(trans < 0.0, axis=-1), "transition probabilities must be non-negative"),
+        (np.abs(trans.sum(axis=-1) - 1.0) > 1e-9, "each transition row must sum to 1"),
+    )
+    for bad, message in checks:
+        if bad.any():
+            return int(np.argmax(bad.reshape(-1))), message
+    return None
 
 
 def splice_context(features, window: int) -> np.ndarray:
@@ -229,8 +249,11 @@ def _spliced_column_stats(
             acc = np.add.reduce(part if acc is None else np.vstack([acc, part]), axis=0)
         return acc
 
-    mean = total(_gather_spliced(cols, context[sl]) for sl in blocks) / n
-    var = total(np.square(_gather_spliced(cols, context[sl]) - mean) for sl in blocks) / n
+    def gathered(sl) -> np.ndarray:
+        return _gather_spliced(cols, context[sl]).astype(np.float64, copy=False)
+
+    mean = total(gathered(sl) for sl in blocks) / n
+    var = total(np.square(gathered(sl) - mean) for sl in blocks) / n
     std = np.sqrt(var)
     std[std < 1e-8] = 1.0
     return mean, std
@@ -262,8 +285,11 @@ def _forward_hiddens(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Activations after each layer; rectifier on hiddens, raw logits last."""
     acts = [x]
     for i, (w, b) in enumerate(params):
-        z = acts[-1] @ w + b
-        acts.append(z if i == len(params) - 1 else np.maximum(z, 0.0))
+        z = acts[-1] @ w
+        z += b
+        if i < len(params) - 1:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
@@ -292,21 +318,32 @@ def mlp_backprop(
     t = np.asarray(targets, dtype=np.intp).reshape(-1)
     if t.size != x.shape[0]:
         raise DimensionError(f"batch size mismatch: {x.shape[0]} inputs vs {t.size} targets")
+    grads = [(np.empty(w.shape), np.empty(b.shape)) for w, b in params]
+    return _backprop_into(params, x, t, grads), grads
+
+
+def _backprop_into(
+    params: MlpParams, x: np.ndarray, t: np.ndarray, grads: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> float:
+    """Mean cross-entropy loss of a float64 batch; its gradients overwrite
+    the float64 buffers ``grads``, one ``(weight, bias)`` pair per layer."""
     acts = _forward_hiddens(params, x)
     logp = _log_softmax(acts[-1])
     n = x.shape[0]
-    loss = -float(logp[np.arange(n), t].mean())
+    rows = np.arange(n)
+    loss = -float(logp[rows, t].mean())
 
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), t] -= 1.0
-    dlogits /= n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)  # type: ignore[list-item]
-    delta_up = dlogits
+    delta = np.exp(logp, out=logp)
+    delta[rows, t] -= 1.0
+    delta /= n
     for i in range(len(params) - 1, -1, -1):
-        grads[i] = (acts[i].T @ delta_up, delta_up.sum(axis=0))
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta_up = (delta_up @ params[i][0].T) * (acts[i] > 0.0)
-    return loss, grads
+            delta = delta @ params[i][0].T
+            delta *= acts[i] > 0.0
+    return loss
 
 
 def _chain_statistics(
@@ -381,13 +418,17 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
 
     ``corpus`` holds ``(feature matrix, label)`` pairs; matrices are
     ``(dims, K)`` with a shared ``dims`` and ``K >= states_per_class``.
+    Float32 matrices (raw frames) are kept as float32 and widened to
+    float64 only where they are standardized; every computed value is
+    float64, so the model does not depend on the input dtype.
     Flat-start alignments bootstrap the first round; each round trains the
     network on the current alignments, re-estimates transitions and
     priors from them, then realigns every sequence for the next round.
     """
     if not corpus:
         raise TrainingError("training corpus is empty")
-    matrices = [np.asarray(m, dtype=np.float64) for m, _ in corpus]
+    matrices = [np.asarray(m) for m, _ in corpus]
+    matrices = [m if m.dtype == np.float32 else m.astype(np.float64, copy=False) for m in matrices]
     labels_per_item = [label for _, label in corpus]
     dims = {m.shape[0] for m in matrices}
     if any(m.ndim != 2 for m in matrices) or len(dims) != 1:
@@ -411,9 +452,10 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     class_indices = [labels.index(label) for label in labels_per_item]
 
     # The spliced design matrix is never built.  Training keeps the
-    # columns of every sequence stacked once, (rows, dims), plus the
-    # (rows, window) column indices of each spliced row, and gathers
-    # spliced rows on demand: a mini-batch, or one sequence at a time.
+    # columns of every sequence stacked once, (rows, dims) in the inputs'
+    # dtype, plus the (rows, window) column indices of each spliced row,
+    # and gathers spliced rows on demand: a mini-batch, or one sequence
+    # at a time, standardized into one float64 buffer.
     window = cfg.context_window
     cols = np.vstack([m.T for m in matrices])
     seq_slices, index_blocks = [], []
@@ -423,15 +465,25 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
         index_blocks.append(_context_index(m.shape[1], window) + start)
         start += m.shape[1]
     context = np.vstack(index_blocks)
+    del index_blocks
     n_total = start
 
     mean, std = _spliced_column_stats(cols, context, seq_slices)
+    longest = max(m.shape[1] for m in matrices)
+    standardized_rows = np.empty((max(min(cfg.batch_size, n_total), longest), mean.size))
 
     def standardized(rows) -> np.ndarray:
-        return (_gather_spliced(cols, context[rows]) - mean) / std
+        """Spliced rows ``rows``, standardized into the shared buffer; the
+        next call overwrites them."""
+        gathered = _gather_spliced(cols, context[rows])
+        out = standardized_rows[: gathered.shape[0]]
+        np.subtract(gathered, mean, out=out)
+        out /= std
+        return out
 
     rng = np.random.default_rng(cfg.seed)
     params = mlp_init((feature_dim * window, *cfg.hidden, b * s), rng)
+    grads = [(np.empty(w.shape), np.empty(v.shape)) for w, v in params]
     alignments = [flat_start_align(m.shape[1], s) for m in matrices]
     transitions = np.zeros((b, s, s))
     priors = np.full(b * s, 1.0 / (b * s))
@@ -449,14 +501,16 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
             epoch_loss = 0.0
             for lo in range(0, n_total, cfg.batch_size):
                 batch = perm[lo : lo + cfg.batch_size]
-                loss, grads = mlp_backprop(params, standardized(batch), targets[batch])
+                loss = _backprop_into(params, standardized(batch), targets[batch], grads)
                 if not np.isfinite(loss):
                     raise NumericError(
                         f"non-finite training loss (round {rnd + 1}, epoch {epoch + 1})"
                     )
                 for (w, v), (gw, gb) in zip(params, grads):
-                    w -= lr * gw
-                    v -= lr * gb
+                    gw *= lr
+                    w -= gw
+                    gb *= lr
+                    v -= gb
                 epoch_loss += loss * batch.size
             epoch_loss /= n_total
             loss_history.append(epoch_loss)
@@ -468,21 +522,23 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
         transitions, priors = _chain_statistics(alignments, class_indices, b, s)
 
         if rnd < cfg.realignment_rounds - 1:
+            # Copy each path row: a view would keep all B paths alive.
             alignments = [
-                _chain_viterbi(params, priors, transitions, standardized(sl))[1][c]
+                _chain_viterbi(params, priors, transitions, standardized(sl))[1][c].copy()
                 for c, sl in zip(class_indices, seq_slices)
             ]
 
     # Fold input standardization into the first layer so the stored model
-    # consumes raw spliced features.
+    # consumes raw spliced features; the weights are scaled in place.
     w0, b0 = params[0]
-    folded = ((w0 / std[:, None], b0 - (mean / std) @ w0),) + params[1:]
+    b0 = b0 - (mean / std) @ w0
+    w0 /= std[:, None]
     return TrainedHmmModel(
         labels=labels,
         transitions=transitions,
         priors=priors,
-        weights=tuple(w for w, _ in folded),
-        biases=tuple(v for _, v in folded),
+        weights=tuple(w for w, _ in params),
+        biases=(b0, *(v for _, v in params[1:])),
         config=cfg,
         loss_history=tuple(loss_history),
     )
@@ -583,6 +639,16 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         raise FormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", offset=0)
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}", offset=4)
+    if b == 0:
+        raise FormatError("model must cover at least one class", offset=8)
+    if layer_count == 0:
+        raise FormatError("model must have at least one layer", offset=20)
+    stored = dict(zip(_STORED_FIELDS, (s, window, seed, rounds, epochs, batch, lr)))
+    for name, offset in _STORED_FIELDS.items():
+        try:
+            _check_stored_field(name, stored[name])
+        except DomainError as exc:
+            raise FormatError(str(exc), offset=offset) from None
     labels, seen = [], set()
     for _ in range(b):
         (length,) = reader.take("<I")
@@ -595,30 +661,37 @@ def load_model(path: str | Path) -> TrainedHmmModel:
             raise FormatError(f"repeated class label {label!r}", offset=start)
         labels.append(label)
         seen.add(label)
+    trans_start = reader.pos
     transitions = _take_stochastic(reader, (b, s, s), "each transition row")
+    fault = _transition_fault(transitions)
+    if fault is not None:
+        row, message = fault
+        raise FormatError(message, offset=trans_start + 4 * s * row)
+    priors_start = reader.pos
     priors = _take_stochastic(reader, (b * s,), "the state priors")
+    positive = priors > 0.0
+    if not positive.all():
+        raise FormatError("every state prior must be positive", offset=priors_start + 4 * int(np.argmin(positive)))
     weights, biases = [], []
     for i in range(layer_count):
         start = reader.pos
         fan_in, fan_out = reader.take("<II")
         if fan_in == 0 or fan_out == 0:
             raise FormatError(f"layer {i} has a zero fan-in or fan-out", offset=start)
+        if i and fan_in != weights[-1].shape[1]:
+            raise FormatError(
+                f"layer {i} fan-in {fan_in} does not match layer {i - 1} fan-out {weights[-1].shape[1]}",
+                offset=start,
+            )
+        if i == layer_count - 1 and fan_out != b * s:
+            raise FormatError("output layer width must equal class_count * states_per_class", offset=start + 4)
         weights.append(
             reader.floats(fan_in * fan_out, np.isfinite, f"layer {i} weights must be finite")
             .reshape(fan_in, fan_out)
         )
         biases.append(reader.floats(fan_out, np.isfinite, f"layer {i} biases must be finite"))
     reader.end()
-    cfg = HmmTrainingConfig(
-        states_per_class=s,
-        context_window=window,
-        hidden=tuple(w.shape[1] for w in weights[:-1]),
-        realignment_rounds=rounds,
-        epochs_per_round=epochs,
-        batch_size=batch,
-        learning_rate=float(lr),
-        seed=seed,
-    )
+    cfg = HmmTrainingConfig(hidden=tuple(w.shape[1] for w in weights[:-1]), **stored)
     return TrainedHmmModel(
         labels=tuple(labels),
         transitions=transitions,

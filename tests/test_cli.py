@@ -315,6 +315,38 @@ class TestMalformedInput:
         assert "label 'a=b' cannot be serialized" in err
         assert calls == [] and not report.exists()
 
+    def test_unserializable_report_item_id_fails_before_any_fold(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "c"
+        scripts = tmp_path / "scripts.txt"
+        scripts.write_text(SCRIPTS_TEXT, encoding="utf-8")
+        assert main(["generate", "--scripts", str(scripts), "--reps", "2", "--out", str(out)]) == 0
+        (out / "left_001.frs").rename(out / "a=1,x.frs")
+        manifest = out / "manifest.tsv"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("left_001.frs", "a=1,x.frs"),
+                            encoding="utf-8")
+        calls = []
+        real = harness.extract_features
+        monkeypatch.setattr(
+            harness, "extract_features", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        report = tmp_path / "r.txt"
+        err = self.assert_exit_2(
+            ["loocv", "--method", "dtw", "--corpus", str(manifest), "--report", str(report)], capsys
+        )
+        assert "item id 'a=1,x.frs' cannot be serialized" in err
+        assert calls == [] and not report.exists()
+
+    @pytest.mark.parametrize("method", ["dtw", "hmm"])
+    def test_bad_threads_env_fails_before_any_item(self, corpus_dir, capsys, monkeypatch, method):
+        monkeypatch.setenv("FERASEC_THREADS", "abc")
+        calls = []
+        monkeypatch.setattr(harness, "extract_features", lambda *a, **k: calls.append(a))
+        err = self.assert_exit_2(
+            ["loocv", "--method", method, "--corpus", str(corpus_dir / "manifest.tsv")], capsys
+        )
+        assert "FERASEC_THREADS must be an integer, got 'abc'" in err
+        assert calls == []
+
     @pytest.mark.parametrize("bump", ["bump(nan, 0.05, 0.10)", "bump(0.1, 0.05, inf)"])
     def test_non_finite_bump_names_its_line(self, tmp_path, capsys, bump):
         bad = tmp_path / "scripts.txt"

@@ -1,6 +1,12 @@
 """One loader contract for the three binary formats (FRS1 frame sets, FTM1
 feature matrices, HMM1 models): a file cut short fails at its end, where
-the missing bytes should be, and an extra byte fails where the payload ends."""
+the missing bytes should be, and an extra byte fails where the payload ends.
+Every HMM1 model invariant is located too: a header value that the
+training config rejects at its field, a transition row that breaks the
+left-to-right chain at its row, a zero prior at its value and a layer
+that does not chain at its header."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -35,3 +41,65 @@ def test_short_file_and_trailing_byte_are_located(tmp_path, fmt):
     with pytest.raises(FormatError, match="1 trailing bytes") as err:
         load(path)
     assert err.value.offset == len(blob)
+
+
+def stored_tiny_model(path):
+    store_model(TrainedHmmModel(**tiny_model_kwargs()), path)
+    return bytearray(path.read_bytes())
+
+
+# The tiny model's layout: a 48-byte header (magic, version, B @8, S @12,
+# context window @16, layers @20, seed, rounds @32, epochs @36, batch @40,
+# learning rate @44), two 1-byte labels, 2x2x2 transitions, 4 priors, then
+# layer 0 (header, 18x4 weights, 4 biases) and layer 1 (header, 4x4, 4).
+TRANSITIONS = 48 + 2 * (4 + 1)
+PRIORS = TRANSITIONS + 4 * 8
+LAYER_1 = PRIORS + 4 * 4 + 8 + 4 * (18 * 4 + 4)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, message",
+    [
+        (8, "<I", 0, "at least one class"),
+        (12, "<I", 0, "states_per_class must lie in"),
+        (16, "<I", 0, "context_window must lie in"),
+        (16, "<I", 2, "context_window must be a positive odd integer"),
+        (20, "<I", 0, "at least one layer"),
+        (32, "<I", 0, "realignment_rounds must lie in"),
+        (36, "<I", 0, "epochs_per_round must lie in"),
+        (40, "<I", 0, "batch_size must lie in"),
+        (44, "<f", 0.0, "learning_rate must be positive"),
+        (44, "<f", -0.02, "learning_rate must be positive"),
+        (44, "<f", float("nan"), "learning_rate must be positive"),
+        (44, "<f", float("inf"), "learning_rate must be positive"),
+        (PRIORS + 4, "<f", 0.0, "every state prior must be positive"),
+        (LAYER_1, "<I", 5, "layer 1 fan-in 5 does not match layer 0 fan-out 4"),
+        (LAYER_1 + 4, "<I", 5, "output layer width must equal"),
+    ],
+)
+def test_model_invariant_is_located(tmp_path, offset, fmt, value, message):
+    path = tmp_path / "model.hmm"
+    blob = stored_tiny_model(path)
+    struct.pack_into(fmt, blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=message) as err:
+        load_model(path)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "row, values, message",
+    [
+        (3, (0.1, 0.9), "outside the self-loop/advance structure"),  # class b, state 1 steps back
+        (0, (-0.5, 1.5), "must be non-negative"),
+    ],
+)
+def test_model_transition_row_is_located(tmp_path, row, values, message):
+    path = tmp_path / "model.hmm"
+    blob = stored_tiny_model(path)
+    start = TRANSITIONS + 8 * row  # each row holds two float32
+    blob[start : start + 8] = np.array(values, dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=message) as err:
+        load_model(path)
+    assert err.value.offset == start

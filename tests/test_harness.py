@@ -208,6 +208,13 @@ class TestBaselines:
         report = loocv(tiny_corpus, "hmm-clutterreduced", seed=5, hmm_cfg=SMALL_HMM, fast=True)
         assert report.method == "hmm-clutterreduced"
 
+    @pytest.mark.parametrize("method", ["hmm-raw", "hmm-clutterreduced"])
+    def test_frame_inputs_stay_float32(self, tiny_corpus, method):
+        # Frames are stored as float32; widening them would double the
+        # inputs' memory and change no result (train computes in float64).
+        inputs = harness.item_features(tiny_corpus, method, SMALL_FERASEC)
+        assert {x.dtype for x in inputs} == {np.dtype(np.float32)}
+
     def test_unknown_variant(self, tiny_corpus):
         for method in ("spicy", "hmm-cr"):  # the short alias is gone too
             with pytest.raises(DomainError, match="method"):
@@ -256,6 +263,14 @@ class TestReportOutput:
         assert "confusion.a=1,1" in text
         assert "fold.a2=a,b" in text
         assert "timing" not in text
+
+    @pytest.mark.parametrize("item_id", ["a=1", "a,1", "a\n1"])
+    def test_unserializable_item_id_rejected(self, item_id):
+        report = self.make_report()
+        folds = (FoldRecord(item_id, "a", "a"),) + report.folds[1:]
+        report = EvaluationReport("dtw", ("a", "b"), report.confusion, folds, reps_per_class=2)
+        with pytest.raises(DomainError, match="item id .* cannot be serialized"):
+            report_to_text(report)
 
     def test_human_format_mentions_counts(self):
         table = format_report(self.make_report())

@@ -13,6 +13,8 @@ from ferasec.errors import (
     NumericError,
     TrainingError,
 )
+from ferasec.features import FerasecConfig
+from ferasec.harness import item_features
 from ferasec.hmm import (
     HmmTrainingConfig,
     TrainedHmmModel,
@@ -33,6 +35,7 @@ from ferasec.hmm import (
     train,
     viterbi_decode,
 )
+from ferasec.synth import generate_corpus, vowel8_preset
 
 TOY_CFG = HmmTrainingConfig(
     hidden=(16,),
@@ -380,6 +383,32 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert peak < design_bytes
 
+    def test_raw_frame_peak_stays_within_the_documented_bound(self, tmp_path):
+        """The README's bound on one training fold: float32 inputs and
+        their spliced-row indices, the network plus one gradient set, and
+        two float64 blocks of max(batch, longest sequence) spliced rows
+        (the standardized buffer and the working space of one pass)."""
+        scripts, sim = vowel8_preset("medium")
+        manifest = generate_corpus(scripts, 4, sim, 2024, tmp_path)
+        frames = item_features(manifest, "hmm-raw", FerasecConfig())
+        assert len(frames) == 32 and frames[0].dtype == np.float32
+        cfg = HmmTrainingConfig(realignment_rounds=2, epochs_per_round=1, seed=3)
+        dims, window = frames[0].shape[0], cfg.context_window
+        rows = sum(f.shape[1] for f in frames)
+        longest = max(f.shape[1] for f in frames)
+        widths = (window * dims, *cfg.hidden, len(scripts) * cfg.states_per_class)
+        params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
+        block = max(min(cfg.batch_size, rows), longest) * window * dims * 8
+        bound = rows * dims * 4 + rows * window * 8 + 2 * 8 * params + 2 * block
+        corpus = list(zip(frames, (e.label for e in manifest.entries)))
+        tracemalloc.start()
+        try:
+            train(corpus, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -566,10 +595,10 @@ class TestLoadModelProperty:
         try:
             model = load_model(path)
         except FerasecError as exc:
-            # A format error lies inside the file or at its end; a model
-            # invariant (say, an even context window) names no offset.
-            if isinstance(exc, FormatError):
-                assert exc.offset is not None and 0 <= exc.offset <= len(path.read_bytes())
+            # Every failure, a model invariant too, is located inside the
+            # file or at its end.
+            assert isinstance(exc, FormatError)
+            assert exc.offset is not None and 0 <= exc.offset <= len(path.read_bytes())
             return
         assert isinstance(model, TrainedHmmModel)
 
