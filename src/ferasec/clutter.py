@@ -23,28 +23,18 @@ __all__ = ["DEFAULT_ALPHA", "reduce_frameset"]
 DEFAULT_ALPHA = 0.95
 
 
-def reduce_frameset(
-    raw: FrameSet,
-    alpha: float,
-    *,
-    init: str = "first_frame",
-) -> np.ndarray:
+def reduce_frameset(raw: FrameSet, alpha: float) -> np.ndarray:
     """Run the loopback filter over a raw frame set, row by slow-time row.
 
     Returns the reduced ``(M, N)`` map as a read-only float32 array; its
-    values may be negative.  ``init`` selects the unobservable
-    pre-first-frame clutter estimate: ``"first_frame"`` (default) seeds it
-    with the first raw frame, which makes the first reduced row exactly
-    zero and keeps the whole map linear in the input; ``"zero"`` starts
-    from an empty scene estimate and admits a startup transient
-    proportional to the static background.
+    values may be negative.  The unobservable pre-first-frame clutter
+    estimate is the first raw frame, which makes the first reduced row
+    exactly zero and keeps the whole map linear in the input.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if init not in ("first_frame", "zero"):
-        raise DomainError(f"init must be 'first_frame' or 'zero', got {init!r}")
 
-    c = raw.data[0].astype(np.float64) if init == "first_frame" else np.zeros(raw.n)
+    c = raw.data[0].astype(np.float64)
     row, step = np.empty_like(c), np.empty_like(c)
     # The map keeps the raw samples' precision: each row is computed in
     # float64 and rounded to float32 once, as it is stored.

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the two file readers.
+"""Exception hierarchy shared by all modules, the two file readers and the writers' float32 check.
 
 Input-validation failures map to CLI exit code 2, numeric failures to 3.
 
@@ -8,7 +8,9 @@ models).  A malformed binary file is a :class:`FormatError` at a byte
 offset, by one rule for every format: a bad header field at the field's
 offset, a bad value at the value's offset, a short file at its end
 (where the missing bytes should be) and trailing bytes at the end of
-the payload.
+the payload.  The feature and model writers put their values through
+:func:`float32_bytes`, so they refuse, before writing any byte, a value
+that the reader would reject once rounded to float32.
 """
 
 from __future__ import annotations
@@ -102,3 +104,17 @@ class ByteReader:
     def end(self) -> None:
         if self.pos != len(self.blob):
             raise FormatError(f"{len(self.blob) - self.pos} trailing bytes after the payload", offset=self.pos)
+
+
+def float32_bytes(values, ok: Callable, message: str) -> bytes:
+    """``values`` as the little-endian float32 bytes a reader takes.  The
+    first value where the mask ``ok(image)`` is false on that float32
+    image is a :class:`NumericError` with ``message``, formatted as in
+    :meth:`ByteReader.floats`."""
+    with np.errstate(over="ignore"):  # an overflow to inf fails ``ok`` below
+        image = np.ascontiguousarray(values, dtype="<f4")
+    good = ok(image).reshape(-1)
+    if not good.all():
+        i = int(np.argmin(good))
+        raise NumericError(message.format(i=i, value=np.asarray(values).reshape(-1)[i]))
+    return image.tobytes()

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter import DEFAULT_ALPHA, reduce_frameset
-from .errors import ByteReader, DimensionError, DomainError, FormatError
+from .errors import ByteReader, DimensionError, DomainError, FormatError, float32_bytes
 from .frames import FrameSet
 
 __all__ = [
@@ -209,8 +209,9 @@ def store_features(matrix: FeatureMatrix | np.ndarray, path: str | Path) -> None
     values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise DimensionError("feature matrix must be a non-empty 2-D array")
+    payload = float32_bytes(values, np.isfinite, "feature value {i} is {value}, not finite as a float32")
     header = _FEATURES_HEADER.pack(FEATURES_MAGIC, values.shape[0], values.shape[1])
-    Path(path).write_bytes(header + np.ascontiguousarray(values, dtype="<f4").tobytes())
+    Path(path).write_bytes(header + payload)
 
 
 def load_features(path: str | Path) -> np.ndarray:

@@ -15,16 +15,17 @@ seeds derive from the master seed plus the held-out items' identities,
 and a manifest keeps its items in one canonical order, so no result
 depends on the order of manifest lines.
 
-Serialized reports carry no timestamps or timings: identical seeds must
-reproduce identical bytes.
+A report is its method plus one ``(item, truth, predicted)`` fold per
+item; its labels, confusion matrix, repetitions per class and accuracy
+are all counted from those folds.  It carries no timestamps or timings:
+identical seeds must reproduce identical bytes.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,30 +64,39 @@ class FoldRecord:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Aggregate of one cross-validation run."""
+    """One cross-validation run: its method and one fold per item.
+
+    Everything else is counted from the folds: ``labels`` (the sorted
+    truth labels), ``confusion`` (rows = truth, columns = prediction) and
+    ``reps_per_class``; so two reports are equal when their methods and
+    folds are.
+    """
 
     method: str
-    labels: tuple[str, ...]
-    confusion: np.ndarray  # (B, B) counts; rows = truth, columns = prediction
     folds: tuple[FoldRecord, ...]
-    reps_per_class: int
-    timing_s: float = 0.0  # informational only; never serialized
+    labels: tuple[str, ...] = field(init=False, compare=False)
+    confusion: np.ndarray = field(init=False, compare=False)
+    reps_per_class: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        confusion = np.asarray(self.confusion, dtype=np.int64).copy()
         folds = tuple(self.folds)
-        b = len(labels)
-        if confusion.shape != (b, b):
-            raise DomainError(f"confusion matrix must be {b}x{b}, got {confusion.shape}")
-        if np.any(confusion < 0):
-            raise DomainError("confusion counts must be non-negative")
-        if int(confusion.sum()) != len(folds):
-            raise DomainError("confusion total must equal the number of folds")
+        if not folds:
+            raise DomainError("a report needs at least one fold")
+        labels = tuple(sorted({rec.truth for rec in folds}))
+        index = {label: i for i, label in enumerate(labels)}
+        confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+        for rec in folds:
+            if rec.predicted not in index:
+                raise DomainError(f"{rec.item_id!r} predicted as {rec.predicted!r}, no item's truth")
+            confusion[index[rec.truth], index[rec.predicted]] += 1
+        counts = set(confusion.sum(axis=1).tolist())
+        if len(counts) != 1:
+            raise DomainError(f"every class must hold the same number of items, got {sorted(counts)}")
         confusion.setflags(write=False)
+        object.__setattr__(self, "folds", folds)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "confusion", confusion)
-        object.__setattr__(self, "folds", folds)
+        object.__setattr__(self, "reps_per_class", counts.pop())
 
     @property
     def item_count(self) -> int:
@@ -102,11 +112,8 @@ class EvaluationReport:
 
     @property
     def row_percentages(self) -> np.ndarray:
-        """Row-relative percentages; rows with no items stay zero."""
-        totals = self.confusion.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pct = np.where(totals > 0, 100.0 * self.confusion / totals, 0.0)
-        return pct
+        """Row-relative percentages of the confusion matrix."""
+        return 100.0 * self.confusion / self.reps_per_class
 
 
 def _max_workers() -> int:
@@ -169,17 +176,14 @@ def _distance_matrix(features: list[np.ndarray], dtw_cfg: DtwConfig) -> np.ndarr
     return distances + distances.T
 
 
-def _dtw_folds(
-    manifest: CorpusManifest, features: list[np.ndarray], dtw_cfg: DtwConfig
-) -> list[FoldRecord]:
-    entries = manifest.entries
+def _dtw_predictions(
+    entries: Sequence[ManifestEntry], features: list[np.ndarray], dtw_cfg: DtwConfig
+) -> list[str]:
+    """The label of each item's nearest other item; of equal distances the
+    first, i.e. the earliest item in canonical order, wins."""
     distances = _distance_matrix(features, dtw_cfg)
     np.fill_diagonal(distances, np.inf)  # the held-out item is never its own reference
-    records = []
-    for i, entry in enumerate(entries):
-        nearest = int(np.argmin(distances[i]))  # first minimum = earliest canonical item
-        records.append(FoldRecord(entry.item_id, entry.label, entries[nearest].label))
-    return records
+    return [entries[j].label for j in distances.argmin(axis=1)]
 
 
 def _fold_jobs(
@@ -212,16 +216,18 @@ def _fold_jobs(
     ]
 
 
-def _hmm_folds(
+def _hmm_predictions(
     entries: Sequence[ManifestEntry],
     features: list[np.ndarray],
     hmm_cfg: HmmTrainingConfig,
     jobs: Sequence[tuple[list[int], int]],
-) -> list[FoldRecord]:
+) -> list[str]:
     """Train one model per job on every item it does not hold out (in
-    the order of ``entries``), then classify the held-out items with it."""
+    the order of ``entries``), then label the held-out items with it."""
 
-    def run(job: tuple[list[int], int]) -> list[FoldRecord]:
+    predicted = [""] * len(entries)
+
+    def run(job: tuple[list[int], int]) -> None:
         held_out, fold_seed = job
         held = set(held_out)
         train_idx = [j for j in range(len(entries)) if j not in held]
@@ -233,12 +239,11 @@ def _hmm_folds(
         model = train(
             [(features[j], entries[j].label) for j in train_idx], replace(hmm_cfg, seed=fold_seed)
         )
-        return [
-            FoldRecord(entries[j].item_id, entries[j].label, classify(model, features[j])[0])
-            for j in held_out
-        ]
+        for j in held_out:
+            predicted[j] = classify(model, features[j])[0]
 
-    return [rec for recs in _map_folds(run, jobs) for rec in recs]
+    _map_folds(run, jobs)
+    return predicted
 
 
 def loocv(
@@ -258,13 +263,10 @@ def loocv(
     other items; an in-fold audit asserts that the held-out items appear
     in no training set.  Deterministic given ``seed``.
     """
-    a = len(manifest.entries)
-    b = manifest.class_count
-    if a < 2 * b:
-        raise DomainError(f"need at least two items per class, got {a} items for {b} classes")
-    reps_per_class = manifest.reps_per_class
-
-    started = time.perf_counter()
+    entries = manifest.entries
+    reps = manifest.reps_per_class  # unequal class sizes fail here, before any fold
+    if reps < 2:
+        raise DomainError(f"need at least two items per class, got {reps}")
     # The environment, ``fast`` and ``fast_groups`` are validated before
     # any item is featurized.
     _max_workers()
@@ -273,30 +275,17 @@ def loocv(
             raise DomainError("fast LOOCV and its splits apply only to the MLP-HMM methods")
         jobs = None
     else:
-        jobs = _fold_jobs(manifest.entries, seed, fast, fast_groups)
+        jobs = _fold_jobs(entries, seed, fast, fast_groups)
     features = item_features(manifest, method, ferasec_cfg)
     if jobs is None:
-        records = _dtw_folds(manifest, features, dtw_cfg)
+        predicted = _dtw_predictions(entries, features, dtw_cfg)
     else:
         try:
-            records = _hmm_folds(manifest.entries, features, hmm_cfg, jobs)
+            predicted = _hmm_predictions(entries, features, hmm_cfg, jobs)
         except TrainingError as exc:
             raise TrainingError(f"{method} cross-validation aborted: {exc}") from exc
-
-    labels = manifest.labels
-    index = {label: i for i, label in enumerate(labels)}
-    by_id = {rec.item_id: rec for rec in records}
-    ordered = tuple(by_id[e.item_id] for e in manifest.entries)
-    confusion = np.zeros((b, b), dtype=np.int64)
-    for rec in ordered:
-        confusion[index[rec.truth], index[rec.predicted]] += 1
     return EvaluationReport(
-        method=method,
-        labels=labels,
-        confusion=confusion,
-        folds=ordered,
-        reps_per_class=reps_per_class,
-        timing_s=time.perf_counter() - started,
+        method, tuple(FoldRecord(e.item_id, e.label, p) for e, p in zip(entries, predicted))
     )
 
 

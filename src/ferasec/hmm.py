@@ -28,6 +28,7 @@ from .errors import (
     FormatError,
     NumericError,
     TrainingError,
+    float32_bytes,
 )
 
 __all__ = [
@@ -603,11 +604,13 @@ def store_model(model: TrainedHmmModel, path: str | Path) -> None:
         raw = label.encode("utf-8")
         out += struct.pack("<I", len(raw)) + raw
     out += np.ascontiguousarray(model.transitions, dtype="<f4").tobytes()
-    out += np.ascontiguousarray(model.priors, dtype="<f4").tobytes()
-    for w, v in zip(model.weights, model.biases):
+    out += float32_bytes(
+        model.priors, lambda p: p > 0.0, "state prior {i} is {value}, which rounds to 0 as a float32"
+    )
+    for k, (w, v) in enumerate(zip(model.weights, model.biases)):
         out += struct.pack("<II", w.shape[0], w.shape[1])
-        out += np.ascontiguousarray(w, dtype="<f4").tobytes()
-        out += np.ascontiguousarray(v, dtype="<f4").tobytes()
+        out += float32_bytes(w, np.isfinite, f"layer {k} weight {{i}} is {{value}}, not finite as a float32")
+        out += float32_bytes(v, np.isfinite, f"layer {k} bias {{i}} is {{value}}, not finite as a float32")
     Path(path).write_bytes(bytes(out))
 
 

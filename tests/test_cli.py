@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -157,10 +158,14 @@ class TestLoocvCommand:
              "--seed", "5", "--report", str(report_path)]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "accuracy" in out
+        captured = capsys.readouterr()
+        assert "accuracy" in captured.out
+        # The wall time goes to stderr only; the report stays byte-stable.
+        assert re.fullmatch(r"elapsed: \d+\.\d s\n", captured.err)
+        assert "elapsed" not in captured.out
         text = report_path.read_text(encoding="utf-8")
         assert "method=dtw" in text
+        assert "timing" not in text and "elapsed" not in text
 
 
 class TestAid:
@@ -526,10 +531,12 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_features(self, corpus_dir, tmp_path, capsys, value):
-        values = np.zeros((6, 8))
-        values[2, 3] = value
         feats = tmp_path / "t.ftm"
-        store_features(values, feats)
+        store_features(np.zeros((6, 8)), feats)
+        blob = bytearray(feats.read_bytes())
+        start = 12 + 4 * (2 * 8 + 3)  # value [2, 3], after the 12-byte header
+        blob[start : start + 4] = np.float32(value).tobytes()
+        feats.write_bytes(bytes(blob))
         model = tmp_path / "model.hmm"
         store_model(zero_model(), model)
         manifest = str(corpus_dir / "manifest.tsv")

@@ -10,6 +10,7 @@ from ferasec.errors import (
     DomainError,
     FerasecError,
     FormatError,
+    NumericError,
 )
 from ferasec.features import (
     FeatureMatrix,
@@ -361,13 +362,24 @@ class TestFeaturePersistence:
             load_features(path)
 
     def test_non_finite_rejected_at_its_offset(self, tmp_path):
-        values = np.zeros((2, 3))
-        values[1, 0] = np.nan  # fourth value: 12 header bytes + 3 * 4
         path = tmp_path / "nan.ftm"
-        store_features(values, path)
+        store_features(np.zeros((2, 3)), path)
+        blob = bytearray(path.read_bytes())
+        blob[24:28] = np.float32(np.nan).tobytes()  # fourth value: 12 header bytes + 3 * 4
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="finite") as err:
             load_features(path)
         assert err.value.offset == 24
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, value):
+        # 1e39 is finite as a float64 but overflows float32.
+        values = np.zeros((6, 3))
+        values[1, 2] = value
+        path = tmp_path / "bad.ftm"
+        with pytest.raises(NumericError, match="feature value 5 is .*not finite as a float32"):
+            store_features(values, path)
+        assert not path.exists()
 
 
 class TestLoadFeaturesProperty:

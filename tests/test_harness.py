@@ -4,7 +4,7 @@ import pytest
 from ferasec import harness
 from ferasec.dtw import DtwConfig
 from ferasec.errors import DomainError
-from ferasec.frames import load_manifest
+from ferasec.frames import CorpusManifest, load_manifest
 from ferasec.harness import (
     EvaluationReport,
     FoldRecord,
@@ -64,17 +64,16 @@ def shuffled_manifest(manifest, rng):
 
 
 def report_from_confusion(confusion):
-    """Report over the given confusion matrix of classes "a", "b", ..."""
+    """Report whose folds count up to the given confusion matrix of classes "a", "b", ..."""
     confusion = np.asarray(confusion)
     labels = tuple("abcdefgh"[: len(confusion)])
     folds = tuple(
         FoldRecord(f"{truth}{i}{j}{n}", truth, labels[j])
         for i, truth in enumerate(labels)
         for j in range(len(labels))
-        for n in range(max(int(confusion[i, j]), 0))
+        for n in range(int(confusion[i, j]))
     )
-    reps = int(confusion.sum(axis=1).max())
-    return EvaluationReport("dtw", labels, confusion, folds, reps_per_class=reps)
+    return EvaluationReport("dtw", folds)
 
 
 class TestAccuracy:
@@ -93,11 +92,8 @@ class TestAccuracy:
         report = report_from_confusion(confusion)
         assert (report.correct_count, report.item_count) == (138, 160)
         assert report.accuracy_percent == 86.25
-
-    def test_out_of_range(self):
-        # A negative count would let the trace exceed the item total.
-        with pytest.raises(DomainError, match="non-negative"):
-            report_from_confusion([[2, -1], [0, 1]])
+        assert np.array_equal(report.confusion, confusion)
+        assert (report.labels, report.reps_per_class) == (tuple("abcdefgh"), 20)
 
 
 class TestDtwLoocv:
@@ -184,6 +180,15 @@ class TestHmmLoocv:
                 )
         assert calls == []
 
+    def test_unequal_class_sizes_fail_before_any_item(self, tiny_corpus, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "extract_features", lambda *a, **k: calls.append(a))
+        unequal = CorpusManifest(tiny_corpus.entries[:-1], tiny_corpus.root)
+        for method in ("dtw", "hmm"):
+            with pytest.raises(DomainError, match="unequal item counts"):
+                loocv(unequal, method, seed=0)
+        assert calls == []
+
     def test_threads_env_does_not_change_results(self, tiny_corpus, monkeypatch):
         kwargs = dict(seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)
         base = loocv(tiny_corpus, "hmm", **kwargs)
@@ -225,7 +230,7 @@ class TestLeakageAudit:
     def test_audit_rejects_overlapping_ids(self):
         # CorpusManifest rejects repeated paths, so bare entries stand in
         # for a manifest that slipped past that check.
-        from ferasec.harness import _hmm_folds
+        from ferasec.harness import _hmm_predictions
         from ferasec.frames import ManifestEntry
 
         rng = np.random.default_rng(0)
@@ -237,7 +242,7 @@ class TestLeakageAudit:
             ManifestEntry("z.frs", "b", 2, "upper", 0),
         )
         with pytest.raises(AssertionError, match="leaked"):
-            _hmm_folds(entries, [feats] * 4, SMALL_HMM, [([0], 0)])
+            _hmm_predictions(entries, [feats] * 4, SMALL_HMM, [([0], 0)])
 
 
 class TestReportOutput:
@@ -248,8 +253,20 @@ class TestReportOutput:
             FoldRecord("b1", "b", "b"),
             FoldRecord("b2", "b", "b"),
         )
-        confusion = np.array([[1, 1], [0, 2]])
-        return EvaluationReport("dtw", ("a", "b"), confusion, folds, reps_per_class=2)
+        return EvaluationReport("dtw", folds)
+
+    def test_counts_come_from_the_folds(self):
+        report = self.make_report()
+        assert report.labels == ("a", "b")
+        assert report.confusion.tolist() == [[1, 1], [0, 2]]
+        assert not report.confusion.flags.writeable
+        assert report.reps_per_class == 2
+
+    def test_reports_compare_by_method_and_folds(self):
+        report = self.make_report()
+        assert report == self.make_report()
+        assert report != EvaluationReport("hmm", report.folds)
+        assert report != EvaluationReport("dtw", report.folds[:3] + (FoldRecord("b2", "b", "a"),))
 
     def test_accuracy_and_percentages(self):
         report = self.make_report()
@@ -268,7 +285,7 @@ class TestReportOutput:
     def test_unserializable_item_id_rejected(self, item_id):
         report = self.make_report()
         folds = (FoldRecord(item_id, "a", "a"),) + report.folds[1:]
-        report = EvaluationReport("dtw", ("a", "b"), report.confusion, folds, reps_per_class=2)
+        report = EvaluationReport("dtw", folds)
         with pytest.raises(DomainError, match="item id .* cannot be serialized"):
             report_to_text(report)
 
@@ -277,10 +294,18 @@ class TestReportOutput:
         assert "75.00%" in table
         assert "(3/4)" in table
 
-    def test_confusion_total_must_match_folds(self):
-        folds = (FoldRecord("a1", "a", "a"),)
-        with pytest.raises(DomainError):
-            EvaluationReport("dtw", ("a",), np.array([[2]]), folds, reps_per_class=1)
+    def test_prediction_outside_the_truth_labels_rejected(self):
+        folds = self.make_report().folds[:3] + (FoldRecord("b2", "b", "c"),)
+        with pytest.raises(DomainError, match="'b2' predicted as 'c', no item's truth"):
+            EvaluationReport("dtw", folds)
+
+    def test_unequal_class_sizes_rejected(self):
+        with pytest.raises(DomainError, match="same number of items"):
+            EvaluationReport("dtw", self.make_report().folds[:3])
+
+    def test_no_folds_rejected(self):
+        with pytest.raises(DomainError, match="at least one fold"):
+            EvaluationReport("dtw", ())
 
     def test_unknown_method_rejected(self, tiny_corpus):
         with pytest.raises(DomainError, match="method"):

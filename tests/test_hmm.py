@@ -559,6 +559,29 @@ class TestModelPersistence:
             load_model(path)
         assert err.value.offset == start
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("priors", "state prior 0 is 1e-50, which rounds to 0 as a float32"),
+            ("weights", "layer 1 weight 5 is 1e\\+39, not finite as a float32"),
+            ("biases", "layer 0 bias 3 is -1e\\+39, not finite as a float32"),
+        ],
+        ids=["priors", "weights", "biases"],
+    )
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, field, message):
+        # Each value is valid in float64, but the reader would reject its float32 image.
+        kwargs = tiny_model_kwargs()
+        if field == "priors":
+            kwargs["priors"] = np.array([1e-50, 0.25, 0.25, 0.5 - 1e-50])
+        elif field == "weights":
+            kwargs["weights"][1][1, 1] = 1e39
+        else:
+            kwargs["biases"][0][3] = -1e39
+        path = tmp_path / "model.hmm"
+        with pytest.raises(NumericError, match=message):
+            store_model(TrainedHmmModel(**kwargs), path)
+        assert not path.exists()
+
 
 def tiny_model_kwargs():
     cfg = HmmTrainingConfig(hidden=(4,), states_per_class=2, context_window=3)
