@@ -95,10 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="render a labeled synthetic corpus")
-    gen.add_argument("--preset", default="vowel8", choices=["vowel8"],
-                     help="built-in gesture preset (default %(default)s)")
     gen.add_argument("--scripts", type=Path, default=None,
-                     help="gesture script file overriding the preset")
+                     help="gesture script file overriding the built-in vowel8 preset")
     gen.add_argument("--reps", type=int, default=20, help="repetitions per class (default %(default)s)")
     gen.add_argument("--difficulty", default="easy", choices=list(DIFFICULTIES),
                      help="class separation / noise level (default %(default)s)")
@@ -119,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ferasec_options(ext)
 
     tr = sub.add_parser("train", help="train the MLP-HMM classifier on a corpus")
-    tr.add_argument("--method", default="hmm", choices=["hmm"], help="classifier to train")
     tr.add_argument("--corpus", type=Path, required=True, help="corpus manifest")
     tr.add_argument("--seed", type=int, default=_HMM_DEFAULTS.seed,
                     help="training seed (default %(default)s)")

@@ -11,6 +11,9 @@ offset, a bad value at the value's offset, a short file at its end
 the payload.  The feature and model writers put their values through
 :func:`float32_bytes`, so they refuse, before writing any byte, a value
 that the reader would reject once rounded to float32.
+:func:`positive_float32` is the one rule for a float32 field that must
+be positive and finite, and :func:`breaks_line` the one test for a
+field of a line-based text record.
 """
 
 from __future__ import annotations
@@ -104,6 +107,20 @@ class ByteReader:
     def end(self) -> None:
         if self.pos != len(self.blob):
             raise FormatError(f"{len(self.blob) - self.pos} trailing bytes after the payload", offset=self.pos)
+
+
+def positive_float32(value) -> float | None:
+    """``value`` rounded to float32, or None unless that is positive and
+    finite: the rule for every f32 header field that must be positive."""
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        image = np.float32(value)
+    return float(image) if np.isfinite(image) and image > 0.0 else None
+
+
+def breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a character on which :meth:`str.splitlines`
+    breaks, so that a one-line record holding it would not read back."""
+    return len((text + ".").splitlines()) > 1
 
 
 def float32_bytes(values, ok: Callable, message: str) -> bytes:

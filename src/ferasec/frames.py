@@ -26,6 +26,8 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
+    breaks_line,
+    positive_float32,
     read_utf8,
 )
 
@@ -68,16 +70,13 @@ class FrameSet:
         if data.min() < 0.0 or data.max() > 100.0:
             raise DomainError("raw frame-set amplitudes must lie in [0, 100]")
         # Headers persist as 32-bit floats; coerce now so round-trips are exact.
-        rate = float(np.float32(self.frame_rate_hz))
-        rng = float(np.float32(self.range_m))
-        if not rate > 0.0:
-            raise DomainError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
-        if not rng > 0.0:
-            raise DomainError(f"range_m must be positive, got {self.range_m}")
+        for name in ("frame_rate_hz", "range_m"):
+            value = positive_float32(getattr(self, name))
+            if value is None:
+                raise DomainError(f"{name} must be positive and finite as a float32, got {getattr(self, name)}")
+            object.__setattr__(self, name, value)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "frame_rate_hz", rate)
-        object.__setattr__(self, "range_m", rng)
 
     @property
     def m(self) -> int:
@@ -136,10 +135,10 @@ def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
         raise FormatError("fast-time bin count must be positive", offset=4)
     if m == 0:
         raise FormatError("frame count must be positive", offset=8)
-    if not rate > 0.0:
-        raise FormatError(f"frame rate must be positive, got {rate}", offset=12)
-    if not range_m > 0.0:
-        raise FormatError(f"detection range must be positive, got {range_m}", offset=16)
+    if positive_float32(rate) is None:
+        raise FormatError(f"frame rate must be positive and finite, got {rate}", offset=12)
+    if positive_float32(range_m) is None:
+        raise FormatError(f"detection range must be positive and finite, got {range_m}", offset=16)
     if kind_byte != 0:
         raise FormatError(f"kind byte must be 0 (raw capture), got {kind_byte}", offset=20)
     if reserved != b"\x00\x00\x00":
@@ -209,8 +208,8 @@ class ManifestEntry:
             raise DomainError("repetition index must be non-negative")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
-        if "\t" in self.path or "\t" in self.label:
-            raise DomainError("path and label must not contain tab characters")
+        if any("\t" in text or breaks_line(text) for text in (self.path, self.label)):
+            raise DomainError("path and label must not contain a tab or a line break")
 
     @property
     def item_id(self) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .clutter import reduce_frameset
 from .dtw import DtwConfig, mddtw_distances
-from .errors import DomainError, TrainingError
+from .errors import DomainError, TrainingError, breaks_line
 from .features import FerasecConfig, extract_features
 from .frames import CorpusManifest, ManifestEntry, load_frameset
 from .hmm import HmmTrainingConfig, classify, train
@@ -314,10 +314,10 @@ def format_report(report: EvaluationReport) -> str:
 
 def check_report_keys(labels: Sequence[str], item_ids: Sequence[str]) -> None:
     """Reject a label or an item id that the key=value report cannot hold:
-    one with ``,``, ``=`` or a newline."""
+    one with ``,``, ``=`` or a line break."""
     for kind, names in (("label", labels), ("item id", item_ids)):
         for name in names:
-            if "," in name or "=" in name or "\n" in name:
+            if "," in name or "=" in name or breaks_line(name):
                 raise DomainError(f"{kind} {name!r} cannot be serialized in key=value form")
 
 

@@ -29,6 +29,7 @@ from .errors import (
     NumericError,
     TrainingError,
     float32_bytes,
+    positive_float32,
 )
 
 __all__ = [
@@ -75,9 +76,7 @@ def _check_stored_field(name: str, value) -> None:
         if not 0 <= value < 2**64:
             raise DomainError(f"seed must lie in [0, 2**64), got {value}")
     elif name == "learning_rate":
-        with np.errstate(over="ignore"):
-            lr32 = np.float32(value)
-        if not (np.isfinite(lr32) and lr32 > 0.0):
+        if positive_float32(value) is None:
             raise DomainError(f"learning_rate must be positive and finite as a float32, got {value}")
     elif not 1 <= value < 2**32:
         raise DomainError(f"{name} must lie in [1, 2**32), got {value}")
@@ -229,37 +228,6 @@ def _gather_spliced(cols: np.ndarray, index: np.ndarray) -> np.ndarray:
     return cols[index].reshape(index.shape[0], index.shape[1] * cols.shape[1])
 
 
-def _spliced_column_stats(
-    cols: np.ndarray, context: np.ndarray, blocks: Sequence[slice]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation of every spliced column, with rows
-    ``context[block]`` of the design matrix gathered one block at a time.
-
-    NumPy sums axis 0 of a C-ordered matrix one row after another, so
-    folding each block into the running sum the same way reproduces
-    ``x.mean(axis=0)`` and ``x.std(axis=0)`` of the stacked matrix ``x``
-    bit for bit.  Deviations below 1e-8 become 1.
-    """
-    n = context.shape[0]
-    if context.shape[1] * cols.shape[1] == 1:
-        blocks = [slice(None)]  # a one-column matrix is summed pairwise, in one go
-
-    def total(parts) -> np.ndarray:
-        acc = None
-        for part in parts:
-            acc = np.add.reduce(part if acc is None else np.vstack([acc, part]), axis=0)
-        return acc
-
-    def gathered(sl) -> np.ndarray:
-        return _gather_spliced(cols, context[sl]).astype(np.float64, copy=False)
-
-    mean = total(gathered(sl) for sl in blocks) / n
-    var = total(np.square(gathered(sl) - mean) for sl in blocks) / n
-    std = np.sqrt(var)
-    std[std < 1e-8] = 1.0
-    return mean, std
-
-
 def flat_start_align(length: int, states: int) -> np.ndarray:
     """Uniform initial segmentation: 0-based state ``ceil((k+1)*S/K) - 1``
     at 0-based index ``k``.  Non-decreasing and occupies every state."""
@@ -282,11 +250,12 @@ def mlp_init(dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
     return tuple(params)
 
 
-def _forward_hiddens(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Activations after each layer; rectifier on hiddens, raw logits last."""
+def _forward_hiddens(params: MlpParams, x: np.ndarray, out: Sequence[np.ndarray] = ()) -> list[np.ndarray]:
+    """Activations after each layer; rectifier on hiddens, raw logits last.
+    With ``out``, layer ``i`` writes into the first rows of ``out[i]``."""
     acts = [x]
     for i, (w, b) in enumerate(params):
-        z = acts[-1] @ w
+        z = np.matmul(acts[-1], w, out=out[i][: x.shape[0]] if out else None)
         z += b
         if i < len(params) - 1:
             np.maximum(z, 0.0, out=z)
@@ -324,11 +293,14 @@ def mlp_backprop(
 
 
 def _backprop_into(
-    params: MlpParams, x: np.ndarray, t: np.ndarray, grads: Sequence[tuple[np.ndarray, np.ndarray]]
+    params: MlpParams, x: np.ndarray, t: np.ndarray, grads: Sequence[tuple[np.ndarray, np.ndarray]],
+    acts_out: Sequence[np.ndarray] = (),
 ) -> float:
     """Mean cross-entropy loss of a float64 batch; its gradients overwrite
-    the float64 buffers ``grads``, one ``(weight, bias)`` pair per layer."""
-    acts = _forward_hiddens(params, x)
+    the float64 buffers ``grads``, one ``(weight, bias)`` pair per layer.
+    Each layer's activations, then its deltas, go into ``acts_out`` when
+    given (see :func:`_forward_hiddens`)."""
+    acts = _forward_hiddens(params, x, acts_out)
     logp = _log_softmax(acts[-1])
     n = x.shape[0]
     rows = np.arange(n)
@@ -342,8 +314,9 @@ def _backprop_into(
         np.matmul(acts[i].T, delta, out=gw)
         np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta = delta @ params[i][0].T
-            delta *= acts[i] > 0.0
+            alive = acts[i] > 0.0
+            delta = np.matmul(delta, params[i][0].T, out=acts[i])  # acts[i] is not read again
+            delta *= alive
     return loss
 
 
@@ -469,7 +442,13 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     del index_blocks
     n_total = start
 
-    mean, std = _spliced_column_stats(cols, context, seq_slices)
+    # Standardize each input dimension over every training column, summed
+    # in float64 one sequence at a time; the statistics are tiled over the
+    # window to line up with the spliced columns.
+    mean = sum(cols[sl].astype(np.float64).sum(axis=0) for sl in seq_slices) / n_total
+    std = np.sqrt(sum(np.square(cols[sl] - mean).sum(axis=0) for sl in seq_slices) / n_total)
+    std[std < 1e-8] = 1.0
+    mean, std = np.tile(mean, window), np.tile(std, window)
     longest = max(m.shape[1] for m in matrices)
     standardized_rows = np.empty((max(min(cfg.batch_size, n_total), longest), mean.size))
 
@@ -497,12 +476,15 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
 
         lr = cfg.learning_rate
         best_loss = np.inf
+        # Every step of the round writes its activations and deltas here;
+        # they are freed before realignment, which needs its own.
+        activations = [np.empty((min(cfg.batch_size, n_total), w.shape[1])) for w, _ in params]
         for epoch in range(cfg.epochs_per_round):
             perm = rng.permutation(n_total)
             epoch_loss = 0.0
             for lo in range(0, n_total, cfg.batch_size):
                 batch = perm[lo : lo + cfg.batch_size]
-                loss = _backprop_into(params, standardized(batch), targets[batch], grads)
+                loss = _backprop_into(params, standardized(batch), targets[batch], grads, activations)
                 if not np.isfinite(loss):
                     raise NumericError(
                         f"non-finite training loss (round {rnd + 1}, epoch {epoch + 1})"
@@ -520,6 +502,7 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
             else:
                 best_loss = epoch_loss
 
+        del activations
         transitions, priors = _chain_statistics(alignments, class_indices, b, s)
 
         if rnd < cfg.realignment_rounds - 1:

@@ -62,6 +62,12 @@ class TestFrameSetType:
         with pytest.raises(DimensionError):
             FrameSet(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("value", [1e39, math.inf, math.nan, 0.0, -200.0])
+    @pytest.mark.parametrize("name", ["frame_rate_hz", "range_m"])
+    def test_header_value_must_be_positive_and_finite_as_float32(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            FrameSet(np.zeros((2, 3)), **{name: value})
+
 
 class TestPersistence:
     def test_round_trip_600x256(self, tmp_path):
@@ -146,7 +152,7 @@ class TestPersistence:
                 load_frameset(path)
             assert err.value.offset == 20
 
-    @pytest.mark.parametrize("value", [math.nan, 0.0, -200.0])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -200.0, math.inf])
     @pytest.mark.parametrize("offset", [12, 16])  # frame rate, detection range
     def test_bad_header_value_names_its_offset(self, tmp_path, offset, value):
         path = tmp_path / "header.frs"
@@ -308,6 +314,18 @@ class TestManifest:
         manifest = CorpusManifest(both)
         assert len(manifest.entries) == 5
 
+    @pytest.mark.parametrize("field", ["path", "label"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_line_break_rejected(self, tmp_path, field, brk):
+        """A field that would split its manifest line fails when the entry
+        is built, not when the stored manifest is read back."""
+        fields = {"path": "c_1.frs", "label": "c", "repetition": 1, "position": "upper", "seed": 31}
+        fields[field] = f"c{brk}1"
+        with pytest.raises(DomainError, match="line break"):
+            entry = ManifestEntry(**fields)
+            store_manifest(CorpusManifest(self.entries() + (entry,)), tmp_path / "manifest.tsv")
+            load_manifest(tmp_path / "manifest.tsv")
+
     def test_bad_line_raises_format_error(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("only\ttwo\n", encoding="utf-8")
@@ -355,6 +373,7 @@ class TestLoadFramesetProperty:
             return
         assert isinstance(fs, FrameSet)
         assert fs.data.shape == (fs.m, fs.n) and np.isfinite(fs.data).all()
+        assert 0.0 < fs.frame_rate_hz < math.inf and 0.0 < fs.range_m < math.inf
         assert fs.data.min() >= 0.0 and fs.data.max() <= 100.0
 
 

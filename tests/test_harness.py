@@ -281,7 +281,7 @@ class TestReportOutput:
         assert "fold.a2=a,b" in text
         assert "timing" not in text
 
-    @pytest.mark.parametrize("item_id", ["a=1", "a,1", "a\n1"])
+    @pytest.mark.parametrize("item_id", ["a=1", "a,1", "a\n1", "a\r1", "a\x851", "a\u20281"])
     def test_unserializable_item_id_rejected(self, item_id):
         report = self.make_report()
         folds = (FoldRecord(item_id, "a", "a"),) + report.folds[1:]

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ferasec import hmm
 from ferasec.errors import (
     DimensionError,
     DomainError,
@@ -22,7 +24,6 @@ from ferasec.hmm import (
     _chain_statistics,
     _context_index,
     _gather_spliced,
-    _spliced_column_stats,
     _viterbi_core,
     classify,
     flat_start_align,
@@ -121,28 +122,39 @@ class TestSplicedGather:
             for m, sl in zip(matrices, slices):
                 assert np.array_equal(_gather_spliced(cols, context[sl]), splice_context(m, window))
 
-    def test_streamed_statistics_equal_full_matrix(self):
+    def test_training_standardizes_each_input_dimension(self, monkeypatch):
+        """``train`` standardizes with the per-dimension mean and standard
+        deviation of its stacked training columns, tiled over the window;
+        both are read back from the spliced rows it realigns, in order."""
         rng = np.random.default_rng(41)
-        for window in self.WINDOWS * 8:
-            matrices = random_sequences(rng, window)
-            if rng.random() < 0.3:
-                matrices[0][0] = 2.5  # a constant column, below the deviation floor
-                for m in matrices[1:]:
-                    m[0] = 2.5
-            full = np.vstack([splice_context(m, window) for m in matrices])
-            mean, std = _spliced_column_stats(*stacked(matrices, window))
-            expected_std = full.std(axis=0)
-            expected_std[expected_std < 1e-8] = 1.0
-            assert np.array_equal(mean, full.mean(axis=0))
-            assert np.array_equal(std, expected_std)
+        offsets = np.array([[2.0], [-3.0], [5.0], [0.0]])
+        scales = np.array([[1e-3], [1.0], [1e3], [0.0]])  # the last row is constant
+        cfg = HmmTrainingConfig(states_per_class=1, hidden=(4,), realignment_rounds=2,
+                                epochs_per_round=1)
+        chain_viterbi, realigned = hmm._chain_viterbi, []
 
-    def test_one_column_statistics_equal_full_matrix(self):
-        rng = np.random.default_rng(42)
-        matrices = [rng.normal(size=(1, k)) * 1e3 for k in (40, 3, 57, 1, 90)]
-        full = np.vstack([splice_context(m, 1) for m in matrices])
-        mean, std = _spliced_column_stats(*stacked(matrices, 1))
-        assert np.array_equal(mean, full.mean(axis=0))
-        assert np.array_equal(std, full.std(axis=0))
+        def spy(params, priors, transitions, spliced):
+            realigned.append(spliced.copy())
+            return chain_viterbi(params, priors, transitions, spliced)
+
+        monkeypatch.setattr(hmm, "_chain_viterbi", spy)
+        for window in self.WINDOWS:
+            lengths = [1, max(1, window - 2), *rng.integers(1, 3 * window + 2, size=3)]
+            matrices = [scales * (rng.normal(size=(4, k)) + offsets) + (scales == 0) * 2.5
+                        for k in lengths]
+            realigned.clear()
+            train([(m, "a") for m in matrices], replace(cfg, context_window=window))
+            x = np.vstack(realigned)
+            raw = np.vstack([splice_context(m, window) for m in matrices])
+            spread = raw.std(axis=0) > 0.0
+            std = np.ones(raw.shape[1])
+            std[spread] = raw.std(axis=0)[spread] / x.std(axis=0)[spread]
+            mean = raw.mean(axis=0) - std * x.mean(axis=0)
+            cols = np.hstack(matrices).T
+            expected_std = np.std(cols, axis=0)
+            expected_std[expected_std < 1e-8] = 1.0
+            np.testing.assert_allclose(mean, np.tile(np.mean(cols, axis=0), window), rtol=1e-12)
+            np.testing.assert_allclose(std, np.tile(expected_std, window), rtol=1e-12)
 
 
 class TestFlatStartAlign:
