@@ -170,7 +170,8 @@ def delta(z: np.ndarray, delta_window: int) -> np.ndarray:
     """Regression-weighted local slope over a symmetric window.
 
     ``out_k = sum_l l * z[k+l] / sum_l l**2`` for ``l`` in
-    ``-floor(L/2) .. floor(L/2)``; out-of-range samples count as zero.
+    ``-floor(L/2) .. floor(L/2)``; out-of-range samples count as zero,
+    so lags past ``K - 1`` add nothing and are not visited.
     A second application yields the second derivative.
     """
     if delta_window < 3 or delta_window % 2 == 0:
@@ -179,14 +180,15 @@ def delta(z: np.ndarray, delta_window: int) -> np.ndarray:
     if z.ndim != 1 or z.size == 0:
         raise DimensionError("delta input must be a non-empty 1-D vector")
     half = delta_window // 2
-    denom = 2.0 * sum(l * l for l in range(1, half + 1))
-    padded = np.concatenate((np.zeros(half), z, np.zeros(half)))
+    reach = min(half, z.size - 1)
+    denom = half * (half + 1) * (2 * half + 1) // 3  # 2 * sum of l**2 for l = 1..half, exactly
+    padded = np.concatenate((np.zeros(reach), z, np.zeros(reach)))
     out = np.zeros_like(z)
-    for l in range(-half, half + 1):
+    for l in range(-reach, reach + 1):
         if l == 0:
             continue
-        out += l * padded[half + l : half + l + z.size]
-    return out / denom
+        out += l * padded[reach + l : reach + l + z.size]
+    return out / float(denom)
 
 
 def extract_features(raw: FrameSet, cfg: FerasecConfig = FerasecConfig()) -> FeatureMatrix:

@@ -134,13 +134,9 @@ class TrainedHmmModel:
             raise DimensionError(f"transitions must have shape {(b, s, s)}, got {trans.shape}")
         if priors.shape != (b * s,):
             raise DimensionError(f"priors must have shape ({b * s},), got {priors.shape}")
-        fault = _transition_fault(trans)
+        fault = _chain_fault(trans, priors)
         if fault is not None:
             raise DomainError(fault[1])
-        if not np.all(priors > 0.0):
-            raise DomainError("every state prior must be positive")
-        if abs(priors.sum() - 1.0) > 1e-9:
-            raise DomainError("state priors must sum to 1")
         weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
         biases = tuple(np.asarray(v, dtype=np.float64) for v in self.biases)
         if len(weights) != len(biases) or not weights:
@@ -148,15 +144,10 @@ class TrainedHmmModel:
         for i, (w, v) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or v.shape != (w.shape[1],):
                 raise DimensionError(f"layer {i}: bias length must equal the weight fan-out")
-            if 0 in w.shape:
-                raise DimensionError(f"layer {i} has a zero fan-in or fan-out {w.shape}")
-            if i and w.shape[0] != weights[i - 1].shape[1]:
-                raise DimensionError(
-                    f"layer {i} fan-in {w.shape[0]} does not match "
-                    f"layer {i - 1} fan-out {weights[i - 1].shape[1]}"
-                )
-        if weights[-1].shape[1] != b * s:
-            raise DimensionError("output layer width must equal class_count * states_per_class")
+            previous = weights[i - 1].shape[1] if i else None
+            fault = _layer_fault(i, w.shape, previous, len(weights), b * s, self.config.context_window)
+            if fault is not None:
+                raise DimensionError(fault[1])
         hidden = tuple(w.shape[1] for w in weights[:-1])
         if hidden != self.config.hidden:
             raise DimensionError(
@@ -186,20 +177,39 @@ class TrainedHmmModel:
         return tuple(zip(self.weights, self.biases))
 
 
-def _transition_fault(trans: np.ndarray) -> tuple[int, str] | None:
-    """The first row of the (B, S, S) chains, counted over all B*S rows,
-    that breaks the left-to-right structure, and why; None if none does."""
+def _chain_fault(trans: np.ndarray, priors: np.ndarray) -> tuple[int, str] | None:
+    """The first float of the (B, S, S) chains then the (B*S,) priors, in file order, that
+    breaks the left-to-right structure (a row, at its first float) or the priors, and why."""
     s = trans.shape[-1]
     forbidden = ~(np.eye(s, dtype=bool) | np.eye(s, k=1, dtype=bool))
     checks = (
         (np.any((trans != 0.0) & forbidden, axis=-1),
          "transitions outside the self-loop/advance structure must be exactly 0"),
         (np.any(trans < 0.0, axis=-1), "transition probabilities must be non-negative"),
-        (np.abs(trans.sum(axis=-1) - 1.0) > 1e-9, "each transition row must sum to 1"),
+        (~(np.abs(trans.sum(axis=-1) - 1.0) <= 1e-9), "each transition row must sum to 1"),
     )
     for bad, message in checks:
         if bad.any():
-            return int(np.argmax(bad.reshape(-1))), message
+            return s * int(np.argmax(bad.reshape(-1))), message
+    if not np.all(priors > 0.0):
+        return trans.size + int(np.argmin(priors > 0.0)), "every state prior must be positive"
+    if abs(priors.sum() - 1.0) > 1e-9:
+        return trans.size, "state priors must sum to 1"
+    return None
+
+
+def _layer_fault(i, shape, previous_fan_out, layer_count, outputs, window) -> tuple[int, str] | None:
+    """The first field of layer ``i``'s (fan-in, fan-out), 0 or 1, that breaks the network's
+    shape, and why.  Layer 0 takes spliced context windows: its fan-in is a multiple of ``window``."""
+    fan_in, fan_out = shape
+    if fan_in == 0 or fan_out == 0:
+        return 0, f"layer {i} has a zero fan-in or fan-out"
+    if i and fan_in != previous_fan_out:
+        return 0, f"layer {i} fan-in {fan_in} does not match layer {i - 1} fan-out {previous_fan_out}"
+    if not i and fan_in % window:
+        return 0, f"layer 0 fan-in {fan_in} is not a multiple of the context window {window}"
+    if i == layer_count - 1 and fan_out != outputs:
+        return 1, "output layer width must equal class_count * states_per_class"
     return None
 
 
@@ -539,7 +549,12 @@ def _decode(model: TrainedHmmModel, features) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(
             f"sequence of length {values.shape[1]} cannot traverse {s} states without skips"
         )
-    spliced = splice_context(values, model.config.context_window)
+    window, fan_in = model.config.context_window, model.weights[0].shape[0]
+    if values.shape[0] * window != fan_in:
+        raise DimensionError(
+            f"{values.shape[0]} feature rows x context window {window} do not match layer 0's fan-in {fan_in}"
+        )
+    spliced = splice_context(values, window)
     return _chain_viterbi(model.params, model.priors, model.transitions, spliced)
 
 
@@ -649,28 +664,17 @@ def load_model(path: str | Path) -> TrainedHmmModel:
         seen.add(label)
     trans_start = reader.pos
     transitions = _take_stochastic(reader, (b, s, s), "each transition row")
-    fault = _transition_fault(transitions)
-    if fault is not None:
-        row, message = fault
-        raise FormatError(message, offset=trans_start + 4 * s * row)
-    priors_start = reader.pos
     priors = _take_stochastic(reader, (b * s,), "the state priors")
-    positive = priors > 0.0
-    if not positive.all():
-        raise FormatError("every state prior must be positive", offset=priors_start + 4 * int(np.argmin(positive)))
+    fault = _chain_fault(transitions, priors)
+    if fault is not None:
+        raise FormatError(fault[1], offset=trans_start + 4 * fault[0])
     weights, biases = [], []
     for i in range(layer_count):
         start = reader.pos
         fan_in, fan_out = reader.take("<II")
-        if fan_in == 0 or fan_out == 0:
-            raise FormatError(f"layer {i} has a zero fan-in or fan-out", offset=start)
-        if i and fan_in != weights[-1].shape[1]:
-            raise FormatError(
-                f"layer {i} fan-in {fan_in} does not match layer {i - 1} fan-out {weights[-1].shape[1]}",
-                offset=start,
-            )
-        if i == layer_count - 1 and fan_out != b * s:
-            raise FormatError("output layer width must equal class_count * states_per_class", offset=start + 4)
+        fault = _layer_fault(i, (fan_in, fan_out), weights[-1].shape[1] if i else None, layer_count, b * s, window)
+        if fault is not None:
+            raise FormatError(fault[1], offset=start + 4 * fault[0])
         weights.append(
             reader.floats(fan_in * fan_out, np.isfinite, f"layer {i} weights must be finite")
             .reshape(fan_in, fan_out)

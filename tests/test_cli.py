@@ -13,6 +13,8 @@ from ferasec.features import FerasecConfig, load_features, store_features
 from ferasec.frames import load_frameset, load_manifest, store_frameset, FrameSet
 from ferasec.hmm import HmmTrainingConfig, TrainedHmmModel, load_model, store_model
 
+from byte_edits import edited
+
 
 SCRIPTS_TEXT = """\
 [left] duration=0.45
@@ -73,6 +75,15 @@ class TestExtract:
         assert code == 0
         matrix = load_features(out)
         assert matrix.shape[0] == 6
+
+    def test_delta_window_far_wider_than_the_item(self, corpus_dir, tmp_path):
+        # Lags past K - 1 only add zeros, so a 2e8 + 1 window costs what a
+        # 2K - 1 window does.
+        manifest = load_manifest(corpus_dir / "manifest.tsv")
+        item = manifest.resolve(manifest.entries[0])
+        out = tmp_path / "item.ftm"
+        assert main(["extract", "--input", str(item), "--output", str(out), "--delta-window", "200000001"]) == 0
+        assert np.all(np.isfinite(load_features(out)))
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(
@@ -412,6 +423,21 @@ class TestMalformedInput:
             )
             assert f"layer {layer} has a zero fan-in or fan-out (byte offset {header})" in err
 
+    def test_context_window_that_does_not_divide_layer_0(self, tmp_path, capsys):
+        model = zero_model()
+        path = tmp_path / "model.hmm"
+        store_model(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[19] = 0x40  # the window becomes 2**30 + 3
+        path.write_bytes(bytes(blob))
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        err = self.assert_exit_2(
+            ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
+        )
+        fan_in = _transitions_offset(model) + 4 * (model.transitions.size + model.priors.size)
+        assert f"is not a multiple of the context window {2**30 + 3} (byte offset {fan_in})" in err
+
     def test_nan_bias_in_model(self, tmp_path, capsys):
         path = tmp_path / "model.hmm"
         store_model(zero_model(), path)
@@ -554,3 +580,38 @@ class TestMalformedInput:
         bad = corpus_dir / "duplicate_path.tsv"  # next to the frame sets it names
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         self.assert_exit_2(["loocv", "--method", "dtw", "--corpus", str(bad)], capsys)
+
+
+class TestHeaderByteEdits:
+    """Every single-byte edit of a header ends as exit 0, 2 or 3 from the
+    CLI, never as an exception: each size in a header is checked before
+    anything is allocated from it."""
+
+    def test_every_header_byte(self, tmp_path, capsys):
+        model = tmp_path / "model.hmm"
+        store_model(zero_model(), model)
+        feats = tmp_path / "t.ftm"
+        store_features(np.zeros((6, 8)), feats)
+        frames = tmp_path / "f.frs"
+        store_frameset(FrameSet(np.arange(32.0).reshape(4, 8)), frames)
+        layer_0 = _transitions_offset(zero_model()) + 4 * (8 + 4)
+        layer_1 = layer_0 + 8 + 4 * (18 * 4 + 4)
+        target = tmp_path / "edited"
+        cases = {
+            # The FRS1 header is 24 bytes and FTM1's 12.  HMM1's 48 are
+            # followed by its labels, transitions and priors, which are
+            # edited too, then by one 8-byte header per layer.
+            frames: (range(24), ["extract", "--input", str(target), "--output", str(tmp_path / "o.ftm"),
+                                 "--window", "2", "--downsample", "1"]),
+            feats: (range(12), ["classify", "--method", "hmm", "--model", str(model), "--test", str(target)]),
+            model: ([*range(layer_0 + 8), *range(layer_1, layer_1 + 8)],
+                    ["classify", "--method", "hmm", "--model", str(target), "--test", str(feats)]),
+        }
+        for path, (offsets, argv) in cases.items():
+            blob = path.read_bytes()
+            for offset in offsets:
+                for value in (0x00, 0xFF, 0x7F, 0x80, blob[offset] ^ 0x01, blob[offset] ^ 0x40):
+                    target.write_bytes(edited(blob, [(offset, bytes([value]))], len(blob), b""))
+                    code = main(argv)
+                    assert code in (0, 2, 3), (path.name, offset, value, capsys.readouterr().err)
+                    capsys.readouterr()

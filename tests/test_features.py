@@ -171,6 +171,17 @@ class TestDelta:
                 delta(z, window), naive_delta(z, window), rtol=1e-12, atol=1e-14
             )
 
+    def test_windows_wider_than_the_sequence_match_naive_reference(self):
+        # Lags past K - 1 reach no sample, so only the denominator grows.
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            window = 2 * n + 2 * int(rng.integers(0, 3 * n + 2)) + 1  # >= 2K + 1
+            z = rng.normal(size=n)
+            np.testing.assert_allclose(
+                delta(z, window), naive_delta(z, window), rtol=1e-12, atol=1e-14
+            )
+
     def test_even_window_rejected(self):
         with pytest.raises(DomainError):
             delta(np.ones(5), 4)

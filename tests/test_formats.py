@@ -3,8 +3,9 @@ feature matrices, HMM1 models): a file cut short fails at its end, where
 the missing bytes should be, and an extra byte fails where the payload ends.
 Every HMM1 model invariant is located too: a header value that the
 training config rejects at its field, a transition row that breaks the
-left-to-right chain at its row, a zero prior at its value and a layer
-that does not chain at its header."""
+left-to-right chain at its row, a zero prior at its value, a layer
+that does not chain at its header and a context window that does not
+divide layer 0's fan-in at that fan-in."""
 
 import struct
 
@@ -73,6 +74,7 @@ LAYER_1 = PRIORS + 4 * 4 + 8 + 4 * (18 * 4 + 4)
         (44, "<f", float("nan"), "learning_rate must be positive"),
         (44, "<f", float("inf"), "learning_rate must be positive"),
         (PRIORS + 4, "<f", 0.0, "every state prior must be positive"),
+        (PRIORS + 16, "<I", 19, "layer 0 fan-in 19 is not a multiple of the context window 3"),
         (LAYER_1, "<I", 5, "layer 1 fan-in 5 does not match layer 0 fan-out 4"),
         (LAYER_1 + 4, "<I", 5, "output layer width must equal"),
     ],
@@ -85,6 +87,19 @@ def test_model_invariant_is_located(tmp_path, offset, fmt, value, message):
     with pytest.raises(FormatError, match=message) as err:
         load_model(path)
     assert err.value.offset == offset
+
+
+def test_context_window_that_does_not_divide_layer_0_is_located(tmp_path):
+    # Byte 19 = 0x40 makes the window 2**30 + 3: odd and a u32, so the
+    # config takes it, but layer 0's 18 inputs hold no whole window.  The
+    # file fails at layer 0's fan-in, the later field of the pair.
+    path = tmp_path / "model.hmm"
+    blob = stored_tiny_model(path)
+    blob[19] = 0x40
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"fan-in 18 is not a multiple of the context window {2**30 + 3}") as err:
+        load_model(path)
+    assert err.value.offset == PRIORS + 16
 
 
 @pytest.mark.parametrize(

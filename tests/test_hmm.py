@@ -449,6 +449,16 @@ class TestDecoding:
         with pytest.raises(DomainError, match="traverse"):
             classify(model, np.zeros((6, 4)))
 
+    def test_wrong_row_count_rejected_before_splicing(self, model, monkeypatch):
+        # 5 rows x window 7 against a fan-in of 6 x 7: refused before the
+        # spliced copy of the sequence is built.
+        calls = []
+        monkeypatch.setattr(hmm, "splice_context", lambda *args: calls.append(args))
+        for decode in (classify, lambda m, f: viterbi_decode(m, "flat", f)):
+            with pytest.raises(DimensionError, match="5 feature rows x context window 7 do not match"):
+                decode(model, np.zeros((5, 8)))
+        assert calls == []
+
     def test_unknown_label_rejected(self, model):
         with pytest.raises(DomainError, match="unknown"):
             viterbi_decode(model, "nope", np.zeros((6, 8)))
@@ -675,6 +685,20 @@ class TestModelValidation:
         for hidden in ((0,), (4, 0)):
             with pytest.raises(DomainError, match="hidden layer widths"):
                 HmmTrainingConfig(hidden=hidden)
+
+    def test_layer_0_fan_in_must_hold_whole_context_windows(self):
+        kwargs = self.base_kwargs()
+        kwargs["config"] = HmmTrainingConfig(hidden=(4,), states_per_class=2, context_window=5)
+        with pytest.raises(DimensionError, match="layer 0 fan-in 18 is not a multiple of the context window 5"):
+            TrainedHmmModel(**kwargs)
+
+    def test_nan_transition_rejected(self):
+        kwargs = self.base_kwargs()
+        bad = kwargs["transitions"].copy()
+        bad[1, 0, 1] = np.nan
+        kwargs["transitions"] = bad
+        with pytest.raises(DomainError, match="each transition row must sum to 1"):
+            TrainedHmmModel(**kwargs)
 
     def test_seed_must_fit_the_stored_u64(self):
         HmmTrainingConfig(seed=2**64 - 1)
