@@ -61,8 +61,8 @@ def _column_costs(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
 
 
 def local_cost_matrix(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
-    """Pairwise column costs, shape (K1, K2)."""
-    return _column_costs(x[:, :, None], y[:, None, :], metric)
+    """Pairwise column costs, shape (K1, K2); an unknown metric fails as in :class:`DtwConfig`."""
+    return _column_costs(x[:, :, None], y[:, None, :], DtwConfig(metric).local_metric)
 
 
 def mddtw_distances(query, references: Sequence, cfg: DtwConfig = DtwConfig()) -> np.ndarray:

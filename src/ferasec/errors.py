@@ -13,7 +13,8 @@ the payload.  The feature and model writers put their values through
 that the reader would reject once rounded to float32.
 :func:`positive_float32` is the one rule for a float32 field that must
 be positive and finite, and :func:`breaks_line` the one test for a
-field of a line-based text record.
+field of a line-based text record.  Each binary format declares its
+:class:`Header` once, and the offset of each header field follows from it.
 """
 
 from __future__ import annotations
@@ -107,6 +108,29 @@ class ByteReader:
     def end(self) -> None:
         if self.pos != len(self.blob):
             raise FormatError(f"{len(self.blob) - self.pos} trailing bytes after the payload", offset=self.pos)
+
+
+class Header:
+    """A binary format's fixed header: its magic, then named little-endian
+    fields, each a :mod:`struct` code.  ``offsets[name]`` is the byte where
+    a field starts (where the codes before it end), so a loader raises a
+    bad field there."""
+
+    def __init__(self, magic: bytes, *fields: tuple[str, str]):
+        self.magic = magic
+        codes = [f"{len(magic)}s", *(code for _, code in fields)]
+        self.format = "<" + "".join(codes)
+        self.offsets = {name: struct.calcsize("<" + "".join(codes[: i + 1])) for i, (name, _) in enumerate(fields)}
+
+    def pack(self, **fields) -> bytes:
+        return struct.pack(self.format, self.magic, *(fields[name] for name in self.offsets))
+
+    def take(self, reader: ByteReader) -> dict:
+        """The header's fields by name; a wrong magic fails at offset 0."""
+        magic, *values = reader.take(self.format)
+        if magic != self.magic:
+            raise FormatError(f"bad magic {magic!r}, expected {self.magic!r}", offset=0)
+        return dict(zip(self.offsets, values))
 
 
 def positive_float32(value) -> float | None:

@@ -11,7 +11,6 @@ length ``K = floor(M*N / D)``:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter import DEFAULT_ALPHA, reduce_frameset
-from .errors import ByteReader, DimensionError, DomainError, FormatError, float32_bytes
+from .errors import ByteReader, DimensionError, DomainError, FormatError, Header, float32_bytes
 from .frames import FrameSet
 
 __all__ = [
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 FEATURE_ROW_COUNT = 6
-FEATURES_MAGIC = b"FTM1"
-_FEATURES_HEADER = struct.Struct("<4sII")
+_HEADER = Header(b"FTM1", ("rows", "I"), ("length", "I"))
 
 
 @dataclass(frozen=True)
@@ -51,12 +49,12 @@ class FerasecConfig:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
-        if self.window < 2 or self.window % 2 != 0:
-            raise DomainError(f"window must be an even integer >= 2, got {self.window}")
-        if self.downsample < 1:
-            raise DomainError(f"downsample factor must be >= 1, got {self.downsample}")
-        if self.delta_window < 3 or self.delta_window % 2 == 0:
-            raise DomainError(f"delta window must be an odd integer >= 3, got {self.delta_window}")
+        if not 2 <= self.window < 2**32 or self.window % 2 != 0:
+            raise DomainError(f"window must be an even integer in [2, 2**32), got {self.window}")
+        if not 1 <= self.downsample < 2**32:
+            raise DomainError(f"downsample factor must lie in [1, 2**32), got {self.downsample}")
+        if not 3 <= self.delta_window < 2**32 or self.delta_window % 2 == 0:
+            raise DomainError(f"delta window must be an odd integer in [3, 2**32), got {self.delta_window}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -115,8 +113,8 @@ def rms_envelope(f: np.ndarray, window: int) -> np.ndarray:
     even for truncated edge windows, which damps the envelope toward the
     sequence ends.
     """
-    if window < 2 or window % 2 != 0:
-        raise DomainError(f"window must be an even integer >= 2, got {window}")
+    if not 2 <= window < 2**32 or window % 2 != 0:
+        raise DomainError(f"window must be an even integer in [2, 2**32), got {window}")
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 1 or f.size == 0:
         raise DimensionError("envelope input must be a non-empty 1-D vector")
@@ -127,12 +125,14 @@ def _windowed_rms(f: np.ndarray, window: int, kept: slice) -> np.ndarray:
     """:func:`rms_envelope` at ``kept``, a basic slice, so overlapping windows stay a view.
 
     ``f`` may be float32 (frames as stored): it is squared in float64,
-    straight into the zero-padded buffer the windows view.
+    straight into the zero-padded buffer the windows view.  A window past
+    ``2 * len(f)`` samples covers no further one: only that span is viewed.
     """
-    half = window // 2
-    padded = np.zeros(f.size + window - 1)
+    span = min(window, 2 * f.size)
+    half = span // 2
+    padded = np.zeros(f.size + span - 1)
     np.square(f, out=padded[half : half + f.size], dtype=np.float64)
-    windows = sliding_window_view(padded, window)
+    windows = sliding_window_view(padded, span)
     return np.sqrt(windows[kept].sum(axis=1) / window)
 
 
@@ -150,8 +150,8 @@ def downsample(e: np.ndarray, factor: int) -> np.ndarray:
 
     No anti-alias filtering: the RMS window already smooths the envelope.
     """
-    if factor < 1:
-        raise DomainError(f"downsample factor must be >= 1, got {factor}")
+    if not 1 <= factor < 2**32:
+        raise DomainError(f"downsample factor must lie in [1, 2**32), got {factor}")
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1:
         raise DimensionError("downsample input must be 1-D")
@@ -174,8 +174,8 @@ def delta(z: np.ndarray, delta_window: int) -> np.ndarray:
     so lags past ``K - 1`` add nothing and are not visited.
     A second application yields the second derivative.
     """
-    if delta_window < 3 or delta_window % 2 == 0:
-        raise DomainError(f"delta window must be an odd integer >= 3, got {delta_window}")
+    if not 3 <= delta_window < 2**32 or delta_window % 2 == 0:
+        raise DomainError(f"delta window must be an odd integer in [3, 2**32), got {delta_window}")
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise DimensionError("delta input must be a non-empty 1-D vector")
@@ -212,18 +212,18 @@ def store_features(matrix: FeatureMatrix | np.ndarray, path: str | Path) -> None
     if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
         raise DimensionError("feature matrix must be a non-empty 2-D array")
     payload = float32_bytes(values, np.isfinite, "feature value {i} is {value}, not finite as a float32")
-    header = _FEATURES_HEADER.pack(FEATURES_MAGIC, values.shape[0], values.shape[1])
+    header = _HEADER.pack(rows=values.shape[0], length=values.shape[1])
     Path(path).write_bytes(header + payload)
 
 
 def load_features(path: str | Path) -> np.ndarray:
     """Read a feature matrix written by :func:`store_features`."""
     reader = ByteReader(path)
-    magic, rows, length = reader.take(_FEATURES_HEADER.format)
-    if magic != FEATURES_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {FEATURES_MAGIC!r}", offset=0)
-    if rows == 0 or length == 0:
-        raise FormatError("feature matrix dimensions must be positive", offset=4)
+    shape = _HEADER.take(reader)
+    for name, size in shape.items():
+        if size == 0:
+            raise FormatError("feature matrix dimensions must be positive", offset=_HEADER.offsets[name])
+    rows, length = shape["rows"], shape["length"]
     values = reader.floats(rows * length, np.isfinite, "feature values must be finite")
     reader.end()
     return values.reshape(rows, length).astype(np.float64)

@@ -13,7 +13,6 @@ memory and on disk, so persistence round-trips are bit-exact.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -26,6 +25,7 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
+    Header,
     breaks_line,
     positive_float32,
     read_utf8,
@@ -43,8 +43,8 @@ __all__ = [
     "store_manifest",
 ]
 
-FRAMESET_MAGIC = b"FRS1"
-_HEADER = struct.Struct("<4sIIffB3s")  # magic, N, M, frame_rate_hz, range_m, kind, reserved
+_HEADER = Header(b"FRS1", ("n", "I"), ("m", "I"), ("frame_rate_hz", "f"), ("range_m", "f"), ("kind", "B"),
+                 ("reserved", "3s"))
 DEFAULT_BIN_COUNT = 256
 DEFAULT_FRAME_RATE_HZ = 200.0
 DEFAULT_RANGE_M = 1.0
@@ -112,15 +112,9 @@ def store_frameset(fs: FrameSet, path: str | Path) -> None:
     The class label, if any, is not part of the file; labels travel in the
     corpus manifest.
     """
-    header = _HEADER.pack(
-        FRAMESET_MAGIC,
-        fs.n,
-        fs.m,
-        np.float32(fs.frame_rate_hz),
-        np.float32(fs.range_m),
-        0,  # kind byte: a raw capture, the only kind
-        b"\x00\x00\x00",
-    )
+    # The rate and range are float32 values already; kind 0 is a raw capture, the only kind.
+    header = _HEADER.pack(n=fs.n, m=fs.m, frame_rate_hz=fs.frame_rate_hz, range_m=fs.range_m, kind=0,
+                          reserved=b"\x00\x00\x00")
     payload = np.ascontiguousarray(fs.data, dtype="<f4").tobytes()
     Path(path).write_bytes(header + payload)
 
@@ -128,21 +122,21 @@ def store_frameset(fs: FrameSet, path: str | Path) -> None:
 def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
     """Read a frame set written by :func:`store_frameset`."""
     reader = ByteReader(path)
-    magic, n, m, rate, range_m, kind_byte, reserved = reader.take(_HEADER.format)
-    if magic != FRAMESET_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {FRAMESET_MAGIC!r}", offset=0)
+    header = _HEADER.take(reader)
+    n, m, rate, range_m = header["n"], header["m"], header["frame_rate_hz"], header["range_m"]
+    at = _HEADER.offsets
     if n == 0:
-        raise FormatError("fast-time bin count must be positive", offset=4)
+        raise FormatError("fast-time bin count must be positive", offset=at["n"])
     if m == 0:
-        raise FormatError("frame count must be positive", offset=8)
+        raise FormatError("frame count must be positive", offset=at["m"])
     if positive_float32(rate) is None:
-        raise FormatError(f"frame rate must be positive and finite, got {rate}", offset=12)
+        raise FormatError(f"frame rate must be positive and finite, got {rate}", offset=at["frame_rate_hz"])
     if positive_float32(range_m) is None:
-        raise FormatError(f"detection range must be positive and finite, got {range_m}", offset=16)
-    if kind_byte != 0:
-        raise FormatError(f"kind byte must be 0 (raw capture), got {kind_byte}", offset=20)
-    if reserved != b"\x00\x00\x00":
-        raise FormatError("reserved bytes must be zero", offset=21)
+        raise FormatError(f"detection range must be positive and finite, got {range_m}", offset=at["range_m"])
+    if header["kind"] != 0:
+        raise FormatError(f"kind byte must be 0 (raw capture), got {header['kind']}", offset=at["kind"])
+    if header["reserved"] != b"\x00\x00\x00":
+        raise FormatError("reserved bytes must be zero", offset=at["reserved"])
     data = reader.floats(m * n, lambda v: (v >= 0.0) & (v <= 100.0),  # NaN fails both comparisons
                          "amplitude {i} must be finite and lie in [0, 100], got {value}")
     reader.end()

@@ -26,6 +26,7 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
+    Header,
     NumericError,
     TrainingError,
     float32_bytes,
@@ -47,26 +48,19 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_MAGIC = b"HMM1"
 MODEL_VERSION = 1
-# magic, version, B, S, context window, layers, seed, rounds, epochs, batch, learning rate
-_MODEL_HEADER = struct.Struct("<4sIIIIIQIIIf")
+_HEADER = Header(b"HMM1", ("version", "I"), ("class_count", "I"), ("states_per_class", "I"), ("context_window", "I"),
+                 ("layers", "I"), ("seed", "Q"), ("realignment_rounds", "I"), ("epochs_per_round", "I"),
+                 ("batch_size", "I"), ("learning_rate", "f"))
 # Floor of every state prior, so each scaled likelihood stays finite.
 PRIOR_FLOOR = 1e-8
 
 MlpParams = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-# Config fields that the model header stores, each with its byte offset there.
-_STORED_FIELDS = {
-    "states_per_class": 12,
-    "context_window": 16,
-    "seed": 24,
-    "realignment_rounds": 32,
-    "epochs_per_round": 36,
-    "batch_size": 40,
-    "learning_rate": 44,
-}
+# Config fields that the model header stores, under the same names.
+_STORED_FIELDS = ("states_per_class", "context_window", "seed", "realignment_rounds", "epochs_per_round",
+                  "batch_size", "learning_rate")
 
 
 def _check_stored_field(name: str, value) -> None:
@@ -583,21 +577,9 @@ def classify(model: TrainedHmmModel, features) -> tuple[str, np.ndarray]:
 
 def store_model(model: TrainedHmmModel, path: str | Path) -> None:
     """Serialize a trained model; numeric payloads are little-endian float32."""
-    cfg = model.config
     out = bytearray()
-    out += _MODEL_HEADER.pack(
-        MODEL_MAGIC,
-        MODEL_VERSION,
-        model.class_count,
-        cfg.states_per_class,
-        cfg.context_window,
-        len(model.weights),
-        cfg.seed,
-        cfg.realignment_rounds,
-        cfg.epochs_per_round,
-        cfg.batch_size,
-        np.float32(cfg.learning_rate),
-    )
+    out += _HEADER.pack(version=MODEL_VERSION, class_count=model.class_count, layers=len(model.weights),
+                        **{name: getattr(model.config, name) for name in _STORED_FIELDS})
     for label in model.labels:
         raw = label.encode("utf-8")
         out += struct.pack("<I", len(raw)) + raw
@@ -633,23 +615,22 @@ def load_model(path: str | Path) -> TrainedHmmModel:
     round-trip so the stochastic invariants hold exactly again.
     """
     reader = ByteReader(path)
-    magic, version, b, s, window, layer_count, seed, rounds, epochs, batch, lr = reader.take(
-        _MODEL_HEADER.format
-    )
-    if magic != MODEL_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", offset=0)
-    if version != MODEL_VERSION:
-        raise FormatError(f"unsupported model version {version}", offset=4)
+    header = _HEADER.take(reader)
+    at = _HEADER.offsets
+    if header["version"] != MODEL_VERSION:
+        raise FormatError(f"unsupported model version {header['version']}", offset=at["version"])
+    b, s, window = header["class_count"], header["states_per_class"], header["context_window"]
+    layer_count = header["layers"]
     if b == 0:
-        raise FormatError("model must cover at least one class", offset=8)
+        raise FormatError("model must cover at least one class", offset=at["class_count"])
     if layer_count == 0:
-        raise FormatError("model must have at least one layer", offset=20)
-    stored = dict(zip(_STORED_FIELDS, (s, window, seed, rounds, epochs, batch, lr)))
-    for name, offset in _STORED_FIELDS.items():
+        raise FormatError("model must have at least one layer", offset=at["layers"])
+    stored = {name: header[name] for name in _STORED_FIELDS}
+    for name, value in stored.items():
         try:
-            _check_stored_field(name, stored[name])
+            _check_stored_field(name, value)
         except DomainError as exc:
-            raise FormatError(str(exc), offset=offset) from None
+            raise FormatError(str(exc), offset=at[name]) from None
     labels, seen = [], set()
     for _ in range(b):
         (length,) = reader.take("<I")

@@ -85,6 +85,16 @@ class TestExtract:
         assert main(["extract", "--input", str(item), "--output", str(out), "--delta-window", "200000001"]) == 0
         assert np.all(np.isfinite(load_features(out)))
 
+    def test_window_far_wider_than_the_item(self, tmp_path):
+        # A window past 2*M*N samples covers no further one, so the widest
+        # window a recipe takes costs here what a 64-sample one does.
+        frames = tmp_path / "f.frs"
+        store_frameset(FrameSet(np.arange(32.0).reshape(4, 8)), frames)
+        out = tmp_path / "o.ftm"
+        assert main(["extract", "--input", str(frames), "--output", str(out),
+                     "--window", str(2**32 - 2), "--downsample", "1"]) == 0
+        assert np.all(np.isfinite(load_features(out)))
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(
             ["extract", "--input", str(tmp_path / "nope.frs"), "--output", str(tmp_path / "o")]
@@ -393,6 +403,22 @@ class TestMalformedInput:
             ["classify", "--method", "hmm", "--model", str(model), "--test", str(feats), *flags],
             capsys,
         )
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--window", "20000000000"], "window"),
+            (["--window", "2", "--delta-window", str(10**400 + 1)], "delta window"),
+        ],
+    )
+    def test_recipe_size_of_2_32_or_more(self, tmp_path, capsys, flags, field):
+        frames = tmp_path / "f.frs"
+        store_frameset(FrameSet(np.arange(32.0).reshape(4, 8)), frames)
+        err = self.assert_exit_2(
+            ["extract", "--input", str(frames), "--output", str(tmp_path / "o.ftm"), "--downsample", "1", *flags],
+            capsys,
+        )
+        assert err.startswith(f"error: {field} must be") and "2**32" in err
 
     def test_inconsistent_model_layers(self, tmp_path, capsys):
         model = zero_model()

@@ -11,6 +11,11 @@ def brute_force_dtw(x, y, metric="euclidean"):
     return enumerate_paths_minimum(cost.tolist())
 
 
+def test_local_cost_matrix_refuses_an_unknown_metric():
+    with pytest.raises(DomainError, match="local_metric must be one of"):
+        local_cost_matrix(np.ones((2, 3)), np.ones((2, 4)), "bogus")
+
+
 class TestMddtwDistance:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(0)

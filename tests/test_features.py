@@ -103,6 +103,15 @@ class TestRmsEnvelope:
         with pytest.raises(DomainError):
             rms_envelope(np.ones(10), 5)
 
+    def test_windows_past_twice_the_input_match_naive_reference(self):
+        # Such a window covers every sample from every position; only its
+        # divisor grows, so it costs what a 2*len window does.
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 64, 301):
+            f = rng.normal(0.0, 10.0, size=n)
+            for window in (2 * n, 2 * n + 2, 4 * n + 6, 10**6):
+                np.testing.assert_allclose(rms_envelope(f, window), naive_rms(f, window), rtol=1e-12, atol=1e-14)
+
 
 class TestDownsample:
     def test_one_to_ten_by_three(self):
@@ -322,6 +331,16 @@ class TestFerasecConfig:
         with pytest.raises(DomainError):
             FerasecConfig(**kwargs)
 
+    def test_sizes_lie_below_2_32(self):
+        cfg = FerasecConfig(window=2**32 - 2, downsample=2**32 - 1, delta_window=2**32 - 1)
+        assert (cfg.window, cfg.downsample, cfg.delta_window) == (2**32 - 2, 2**32 - 1, 2**32 - 1)
+        for kwargs in ({"window": 2**32}, {"downsample": 2**32}, {"delta_window": 2**32 + 1}):
+            with pytest.raises(DomainError, match=r"in \[\d, 2\*\*32\), got"):
+                FerasecConfig(**kwargs)
+        for stage, size in ((rms_envelope, 2**32), (downsample, 2**32), (delta, 2**32 + 1)):
+            with pytest.raises(DomainError, match=r"in \[\d, 2\*\*32\), got"):
+                stage(np.ones(4), size)
+
 
 class TestFeatureMatrixType:
     def test_requires_six_rows(self):
@@ -364,6 +383,17 @@ class TestFeaturePersistence:
         with pytest.raises(FormatError) as err:
             load_features(path)
         assert err.value.offset == 0
+
+    @pytest.mark.parametrize("offset", [4, 8])  # row count, then length K
+    def test_zero_size_is_located_at_its_field(self, tmp_path, offset):
+        path = tmp_path / "zero.ftm"
+        store_features(np.ones((2, 3)), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 4] = bytes(4)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="dimensions must be positive") as err:
+            load_features(path)
+        assert err.value.offset == offset
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "t.ftm"
