@@ -42,27 +42,94 @@ def _as_feature_array(x) -> np.ndarray:
     return arr
 
 
-def _column_costs(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
-    """Local costs of the column pairs that ``x`` and ``y`` broadcast to.
+# Bytes that one block of the batched recurrence may hold.  References
+# are split into equal chunks, and a chunk's query rows into equal bands,
+# so that a band of R rows holds at most (K2max + 3) x (R + d + 2) float64
+# values per reference: R x K2max local costs, the d x K2max padded
+# reference, 3 x (R + 1) + K2max + 1 recurrence values and a few scalars.
+# Filling the costs takes at most an eighth more as scratch.
+_BLOCK_BYTES = 2 * 1024 * 1024
 
-    Axis 0 of both holds the feature rows.  The per-row terms are summed
-    in row order, so a cell's cost has the same bits whatever the shape
-    of the batch it is computed in.
+
+def _column_costs(x: np.ndarray, y: np.ndarray, metric: str, out: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the local costs of the column pairs that ``x`` and ``y`` broadcast to.
+
+    Axis 0 of both holds the feature rows.  Each row's squared (or
+    absolute) difference is added into ``out`` in row order, through
+    ``scratch`` (shaped like ``out``), so a cell's cost has the same bits
+    whatever the shape of the block it is computed in.
     """
-    terms = x - y
-    if metric == "euclidean":
-        terms *= terms
-    else:
-        np.abs(terms, out=terms)
-    total = terms[0].copy()
-    for term in terms[1:]:
-        total += term
-    return np.sqrt(total, out=total) if metric == "euclidean" else total
+    for r in range(x.shape[0]):
+        term = scratch if r else out
+        np.subtract(x[r], y[r], out=term)
+        if metric == "euclidean":
+            term *= term
+        else:
+            np.abs(term, out=term)
+        if r:
+            out += term
+    return np.sqrt(out, out=out) if metric == "euclidean" else out
 
 
 def local_cost_matrix(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
     """Pairwise column costs, shape (K1, K2); an unknown metric fails as in :class:`DtwConfig`."""
-    return _column_costs(x[:, :, None], y[:, None, :], DtwConfig(metric).local_metric)
+    metric = DtwConfig(metric).local_metric
+    out = np.empty((x.shape[1], y.shape[1]))
+    return _column_costs(x[:, :, None], y[:, None, :], metric, out, np.empty_like(out))
+
+
+def _chunk_distances(xa: np.ndarray, refs: list[np.ndarray], metric: str) -> np.ndarray:
+    """Warping distances from ``xa`` to each of ``refs``, one band of query rows at a time.
+
+    A band first fills its local costs, shape (rows, K2max, B), a few
+    query columns at a time; then the recurrence reads its diagonal
+    ``t`` as one strided view of that tensor.  ``above[j + 1]`` is ``D``
+    on the row above the band at column ``j``, and ``above[0]`` the
+    column before the first: the ``0`` origin above the first band, the
+    ``inf`` border below it.  Each band overwrites ``above`` with its own
+    last row.
+    """
+    d, k1 = xa.shape
+    lengths = np.array([ya.shape[1] for ya in refs])
+    k2, batch = int(lengths.max()), len(refs)
+    padded = np.zeros((d, 1, k2, batch))  # axis 1 broadcasts over query columns
+    for b, ya in enumerate(refs):
+        padded[:, 0, :ya.shape[1], b] = ya
+    rows = min(k1, max(1, _BLOCK_BYTES // (8 * (k2 + 3) * batch) - d - 2))
+    rows = -(-k1 // -(-k1 // rows))  # equal bands
+    step = min(rows, max(1, _BLOCK_BYTES // 8 // (8 * k2 * batch)))  # columns per fill
+    cost = np.empty((rows, k2, batch))
+    flat = cost.reshape(rows * k2, batch)  # cell (i, t - i) is row t + i * (k2 - 1)
+    stride = max(k2 - 1, 1)
+    scratch = np.empty((step, k2, batch))
+    above = np.full((k2 + 1, batch), np.inf)
+    above[0] = 0.0
+    for i0 in range(0, k1, rows):
+        r = min(rows, k1 - i0)
+        for c in range(0, r, step):
+            n = min(step, r - c)
+            _column_costs(xa[:, i0 + c:i0 + c + n, None, None], padded, metric,
+                          cost[c:c + n], scratch[:n])
+        # D on diagonals t - 2, t - 1 and t, indexed by band row + 1; index
+        # 0 is the row above, at columns t - 1, t and t + 1.  The buffers
+        # rotate without refilling: a row off its diagonal holds inf, or a
+        # value that no later diagonal reads.
+        prev2, prev1, cur = (np.full((r + 1, batch), np.inf) for _ in range(3))
+        prev2[0], prev1[0] = above[0], above[1]
+        for t in range(r + k2 - 1):
+            lo, hi = max(0, t - k2 + 1), min(r - 1, t)
+            best = cur[lo + 1:hi + 2]
+            np.minimum(prev1[lo:hi + 1], prev2[lo:hi + 1], out=best)  # up, diagonal
+            np.minimum(best, prev1[lo + 1:hi + 2], out=best)  # left
+            np.add(flat[t + lo * (k2 - 1):t + hi * (k2 - 1) + 1:stride], best, out=best)
+            if t + 2 <= k2:
+                cur[0] = above[t + 2]
+            if hi == r - 1:
+                above[t - hi + 1] = cur[r]
+            prev2, prev1, cur = prev1, cur, prev2
+        above[0] = np.inf
+    return above[lengths, np.arange(batch)]
 
 
 def mddtw_distances(query, references: Sequence, cfg: DtwConfig = DtwConfig()) -> np.ndarray:
@@ -70,11 +137,14 @@ def mddtw_distances(query, references: Sequence, cfg: DtwConfig = DtwConfig()) -
 
     The recurrence ``D[i, j] = cost[i, j] + min(D[i-1, j], D[i-1, j-1],
     D[i, j-1])`` (``inf`` border, ``0`` before the origin) is evaluated
-    one anti-diagonal ``i + j = t`` at a time, for every reference in the
-    same array operations.  References shorter than the longest are
-    zero-padded; each distance is read at its own ``(K1, K2)`` cell,
-    which no monotone path through the padding reaches, so every value
-    equals the cell-by-cell recurrence bit for bit.
+    one anti-diagonal ``i + j = t`` at a time, for a chunk of references
+    in the same array operations.  The references are split into equal
+    chunks that fit in ``_BLOCK_BYTES`` (a chunk holds one reference at
+    least, in bands of query rows if it must), so memory per query does
+    not grow with their number.  Each distance is read at its own
+    ``(K1, K2)`` cell, which no monotone path through the zero padding
+    of a chunk reaches, so every value equals the cell-by-cell
+    recurrence bit for bit.
     """
     xa = _as_feature_array(query)
     if len(references) == 0:
@@ -87,34 +157,14 @@ def mddtw_distances(query, references: Sequence, cfg: DtwConfig = DtwConfig()) -
                 f"feature row-count mismatch: reference {index} has {ya.shape[0]} rows, "
                 f"the query has {d}"
             )
-    lengths = np.array([ya.shape[1] for ya in refs])
-    k2 = int(lengths.max())
+    k2 = max(ya.shape[1] for ya in refs)
     batch = len(refs)
-    # Time-reversed, zero-padded references with the batch axis last:
-    # the cells (i, t - i) of a diagonal are consecutive columns here.
-    rev = np.zeros((d, k2, batch))
-    for b, ya in enumerate(refs):
-        rev[:, k2 - ya.shape[1]:, b] = ya[:, ::-1]
-    # D on diagonals t-2 and t-1, indexed by row + 1: row -1 is the inf
-    # border, except for the origin D[-1, -1] = 0 before diagonal 0.
-    prev2 = np.full((k1 + 1, batch), np.inf)
-    prev2[0] = 0.0
-    prev1 = np.full((k1 + 1, batch), np.inf)
-    last_row = np.empty((k2, batch))  # D[K1-1, j]
-    for t in range(k1 + k2 - 1):
-        lo, hi = max(0, t - k2 + 1), min(k1 - 1, t)
-        start = k2 - 1 - t
-        cost = _column_costs(
-            xa[:, lo:hi + 1, None], rev[:, start + lo:start + hi + 1], cfg.local_metric
-        )
-        best = np.minimum(prev1[lo:hi + 1], prev2[lo:hi + 1])  # up, diagonal
-        np.minimum(best, prev1[lo + 1:hi + 2], out=best)  # left
-        cur = np.full((k1 + 1, batch), np.inf)
-        np.add(cost, best, out=cur[lo + 1:hi + 2])
-        if hi == k1 - 1:
-            last_row[t - hi] = cur[k1]
-        prev2, prev1 = prev1, cur
-    return last_row[lengths - 1, np.arange(batch)]
+    chunks = -(-batch // max(1, _BLOCK_BYTES // (8 * (k2 + 3) * (k1 + d + 2))))
+    out = np.empty(batch)
+    for c in range(chunks):
+        lo, hi = batch * c // chunks, batch * (c + 1) // chunks
+        out[lo:hi] = _chunk_distances(xa, refs[lo:hi], cfg.local_metric)
+    return out
 
 
 def mddtw_distance(x, y, cfg: DtwConfig = DtwConfig()) -> float:

@@ -50,6 +50,9 @@ DIFFICULTIES = ("easy", "medium", "hard")
 # for every corpus, on the frame grid of ``frames.DEFAULT_*``.
 PULSE_WIDTH_BINS = 2.0
 ECHO_AMPLITUDE = 40.0
+# The longest gesture a script may describe.  With a duration jitter
+# below 0.5 an item renders fewer than 1.5 x 60 s x 200 = 18,000 frames.
+MAX_DURATION_S = 60.0
 
 
 def _clutter_profile() -> np.ndarray:
@@ -119,8 +122,11 @@ class GestureScript:
     def __post_init__(self) -> None:
         if not self.label:
             raise DomainError("script label must be non-empty")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise DomainError(f"duration must be finite and positive, got {self.duration_s}")
+        if not 0.0 < self.duration_s <= MAX_DURATION_S:
+            raise DomainError(
+                f"duration must be finite, positive and at most {MAX_DURATION_S} s, "
+                f"got {self.duration_s}"
+            )
         object.__setattr__(self, "reflectors", tuple(self.reflectors))
 
 

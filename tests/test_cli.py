@@ -302,6 +302,18 @@ class TestMalformedInput:
             ["classify", "--method", "hmm", "--model", str(path), "--test", str(feats)], capsys
         )
 
+    def test_script_duration_beyond_the_bound(self, tmp_path, capsys):
+        # Refused while parsing: no frame set is rendered or written.
+        bad = tmp_path / "scripts.txt"
+        huge = "1" + "0" * 30  # seconds; 2e32 frames at 200 frames/s
+        bad.write_text(SCRIPTS_TEXT.replace("duration=0.45", f"duration={huge}", 1), encoding="utf-8")
+        err = self.assert_exit_2(
+            ["generate", "--scripts", str(bad), "--reps", "2", "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert "script 'left'" in err and "at most 60.0 s" in err
+        assert not (tmp_path / "c").exists()
+
     def test_malformed_scripts(self, tmp_path, capsys):
         bad = tmp_path / "scripts.txt"
         bad.write_text(SCRIPTS_TEXT.replace("duration=0.45", "duration=1.2.3", 1), encoding="utf-8")

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ferasec import dtw
 from ferasec.dtw import DtwConfig, classify_1nn, local_cost_matrix, mddtw_distance, mddtw_distances
 from ferasec.errors import DimensionError, DomainError
 from oracles import column_cost, enumerate_paths_minimum, per_cell_dtw
@@ -124,6 +127,47 @@ class TestMddtwDistances:
         for k in (1, 2, 7, 13):
             self.assert_matches_oracle(rng.normal(size=(6, 1)), ragged(rng, [k, 1, 3]))
             self.assert_matches_oracle(rng.normal(size=(6, k)), ragged(rng, [1, 1, k]))
+
+    def test_batch_spanning_two_chunks(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 200))
+        refs = ragged(rng, rng.integers(150, 201, size=8), rows=2)
+        # One chunk of all eight would not fit the block.
+        assert 8 * (200 + 3) * (200 + 2 + 2) * 8 > dtw._BLOCK_BYTES
+        self.assert_matches_oracle(x, refs)
+
+    @pytest.mark.parametrize("block_bytes", [None, 2048, 512], ids=["default", "2KiB", "512B"])
+    @pytest.mark.parametrize(
+        "k1, lengths",
+        [
+            (1, [5, 1, 9, 3]),  # one query column
+            (9, [1, 1, 1]),  # K2max = 1
+            (20, [3, 7, 5, 12]),  # the query is longer than every reference
+            (10, [1, 14, 6, 10, 3, 22]),  # mixed lengths
+        ],
+        ids=["k1=1", "k2max=1", "query-longest", "mixed"],
+    )
+    def test_small_blocks_keep_the_bits(self, monkeypatch, block_bytes, k1, lengths):
+        """Blocks small enough to hold one or two references, in bands of
+        a few query rows, give the per-cell recurrence's bits."""
+        if block_bytes is not None:
+            monkeypatch.setattr(dtw, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(k1)
+        self.assert_matches_oracle(rng.normal(size=(6, k1)), ragged(rng, lengths))
+
+    def test_memory_per_query_does_not_grow_with_the_batch(self):
+        """The README's bound: 2 1/4 MiB per query, plus 16 bytes per
+        reference for the result and the list of references."""
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(6, 60))
+        refs = [rng.normal(size=(6, 60)) for _ in range(1000)]
+        tracemalloc.start()
+        try:
+            mddtw_distances(x, refs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 16 * len(refs) <= 2.25 * 2**20
 
     def test_empty_references(self):
         with pytest.raises(DomainError, match="must not be empty"):

@@ -7,6 +7,7 @@ from ferasec.frames import DEFAULT_BIN_COUNT, DEFAULT_FRAME_RATE_HZ, load_frames
 from ferasec.synth import (
     CLUTTER_PROFILE,
     ECHO_AMPLITUDE,
+    MAX_DURATION_S,
     GestureBump,
     GestureScript,
     Reflector,
@@ -281,6 +282,16 @@ class TestGestureValidation:
             Reflector(bad)
         with pytest.raises(DomainError, match="finite"):
             GestureScript("x", (), bad)
+
+    def test_duration_is_bounded(self):
+        assert GestureScript("x", (), MAX_DURATION_S).duration_s == MAX_DURATION_S
+        for bad in (np.nextafter(MAX_DURATION_S, np.inf), 1e8):
+            with pytest.raises(DomainError, match="at most 60.0 s"):
+                GestureScript("x", (), bad)
+
+    def test_parser_names_the_script_of_a_too_long_duration(self):
+        with pytest.raises(FormatError, match="script 'long': duration .* at most 60.0 s"):
+            parse_scripts_text("[short] duration=1\n0.3; ; 0.9\n[long] duration=100000000\n0.3; ; 0.9\n")
 
 
 class TestSimConfigValidation:
