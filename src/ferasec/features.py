@@ -59,7 +59,7 @@ class FerasecConfig:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Six feature rows of equal length K; rows 1 and 2 are zero-mean."""
 
@@ -87,13 +87,6 @@ class FeatureMatrix:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self.values, dtype=dtype)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureMatrix):
-            return NotImplemented
-        return self.values.shape == other.values.shape and bool(
-            np.all(self.values == other.values)
-        )
 
 
 def vectorize(frames: np.ndarray) -> np.ndarray:

@@ -152,7 +152,7 @@ def item_features(manifest: CorpusManifest, method: str, cfg: FerasecConfig) -> 
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     out: list[np.ndarray] = []
     for entry in manifest.entries:
-        fs = load_frameset(manifest.resolve(entry), label=entry.label)
+        fs = load_frameset(manifest.resolve(entry))
         if method in ("dtw", "hmm"):
             out.append(extract_features(fs, cfg).values)
         elif method == "hmm-raw":

@@ -109,9 +109,6 @@ class TrainedHmmModel:
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     config: HmmTrainingConfig
-    # Mean cross-entropy per epoch, all rounds concatenated.  Diagnostic
-    # only: empty on models loaded from disk.
-    loss_history: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -285,25 +282,28 @@ def mlp_log_posteriors(params: MlpParams, inputs) -> np.ndarray:
 
 
 def mlp_backprop(
-    params: MlpParams, inputs: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean cross-entropy loss and its gradients for a batch of int targets."""
+    params: MlpParams, inputs, targets, grads: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+    acts_out: Sequence[np.ndarray] = (),
+) -> tuple[float, Sequence[tuple[np.ndarray, np.ndarray]]]:
+    """Mean cross-entropy loss and its gradients for a batch of int targets.
+
+    Given ``grads``, the gradients overwrite those float64 buffers, one
+    ``(weight, bias)`` pair per layer; otherwise they are allocated.  Given
+    ``acts_out``, each layer's activations, then its deltas, go into the
+    first rows of ``acts_out[i]`` (see :func:`_forward_hiddens`).  The
+    buffers change no result."""
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     t = np.asarray(targets, dtype=np.intp).reshape(-1)
+    fan_in, outputs = params[0][0].shape[0], params[-1][0].shape[1]
+    if x.shape[1] != fan_in:
+        raise DimensionError(f"input width {x.shape[1]} does not match first layer fan-in {fan_in}")
     if t.size != x.shape[0]:
         raise DimensionError(f"batch size mismatch: {x.shape[0]} inputs vs {t.size} targets")
-    grads = [(np.empty(w.shape), np.empty(b.shape)) for w, b in params]
-    return _backprop_into(params, x, t, grads), grads
-
-
-def _backprop_into(
-    params: MlpParams, x: np.ndarray, t: np.ndarray, grads: Sequence[tuple[np.ndarray, np.ndarray]],
-    acts_out: Sequence[np.ndarray] = (),
-) -> float:
-    """Mean cross-entropy loss of a float64 batch; its gradients overwrite
-    the float64 buffers ``grads``, one ``(weight, bias)`` pair per layer.
-    Each layer's activations, then its deltas, go into ``acts_out`` when
-    given (see :func:`_forward_hiddens`)."""
+    bad = (t < 0) | (t >= outputs)
+    if bad.any():
+        raise DomainError(f"target {t[bad][0]} lies outside [0, {outputs})")
+    if grads is None:
+        grads = [(np.empty(w.shape), np.empty(b.shape)) for w, b in params]
     acts = _forward_hiddens(params, x, acts_out)
     logp = _log_softmax(acts[-1])
     n = x.shape[0]
@@ -321,7 +321,7 @@ def _backprop_into(
             alive = acts[i] > 0.0
             delta = np.matmul(delta, params[i][0].T, out=acts[i])  # acts[i] is not read again
             delta *= alive
-    return loss
+    return loss, grads
 
 
 def _chain_statistics(
@@ -472,7 +472,6 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     transitions = np.zeros((b, s, s))
     priors = np.full(b * s, 1.0 / (b * s))
 
-    loss_history: list[float] = []
     for rnd in range(cfg.realignment_rounds):
         targets = np.empty(n_total, dtype=np.intp)
         for align, c, sl in zip(alignments, class_indices, seq_slices):
@@ -488,7 +487,7 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
             epoch_loss = 0.0
             for lo in range(0, n_total, cfg.batch_size):
                 batch = perm[lo : lo + cfg.batch_size]
-                loss = _backprop_into(params, standardized(batch), targets[batch], grads, activations)
+                loss, _ = mlp_backprop(params, standardized(batch), targets[batch], grads, activations)
                 if not np.isfinite(loss):
                     raise NumericError(
                         f"non-finite training loss (round {rnd + 1}, epoch {epoch + 1})"
@@ -500,7 +499,6 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
                     v -= gb
                 epoch_loss += loss * batch.size
             epoch_loss /= n_total
-            loss_history.append(epoch_loss)
             if epoch_loss >= best_loss:
                 lr *= 0.5
             else:
@@ -528,7 +526,6 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
         weights=tuple(w for w, _ in params),
         biases=(b0, *(v for _, v in params[1:])),
         config=cfg,
-        loss_history=tuple(loss_history),
     )
 
 

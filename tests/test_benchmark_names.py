@@ -46,3 +46,13 @@ def test_bench_smoke_run_passes():
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
     assert proc.stdout.strip().splitlines()[-1] == "smoke: ok"
+    # Training steps through the traced public backprop, so its call count
+    # in each training workload's table is not 0.
+    backprop_calls, workload = {}, None
+    for line in proc.stdout.splitlines():
+        if line.startswith("== "):
+            workload = line[3:]
+        elif line.split()[:1] == ["hmm.mlp_backprop"]:
+            backprop_calls[workload] = float(line.split()[1])
+    for workload in ("loocv-hmm", "loocv-hmm-raw", "classify-stream"):
+        assert backprop_calls.get(workload, 0) > 0, (workload, backprop_calls)

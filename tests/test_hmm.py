@@ -248,6 +248,36 @@ class TestMlp:
         with pytest.raises(NumericError):
             np.exp(mlp_log_posteriors(params, bad))
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_backprop_rejects_wrong_input_width(self, width):
+        params = mlp_init((4, 4, 3), np.random.default_rng(13))
+        with pytest.raises(DimensionError, match="fan-in 4"):
+            mlp_backprop(params, np.ones((2, width)), [0, 1])
+
+    @pytest.mark.parametrize("target", [3, -1])
+    def test_backprop_rejects_target_outside_outputs(self, target):
+        params = mlp_init((4, 4, 3), np.random.default_rng(14))
+        with pytest.raises(DomainError, match=rf"target {target} lies outside \[0, 3\)"):
+            mlp_backprop(params, np.ones((2, 4)), [0, target])
+
+    def test_backprop_buffers_change_no_result(self):
+        """Loss and gradients are bit-identical with and without the
+        gradient and activation buffers, also for a batch shorter than the
+        buffers (training's last partial batch), and reusing them."""
+        rng = np.random.default_rng(15)
+        params = mlp_init((12, 9, 7, 5), rng)
+        grads = [(np.full(w.shape, np.nan), np.full(v.shape, np.nan)) for w, v in params]
+        acts = [np.full((16, w.shape[1]), np.nan) for w, _ in params]
+        for rows in (16, 5, 16, 1):
+            x = rng.normal(size=(rows, 12))
+            t = rng.integers(0, 5, size=rows)
+            loss, fresh = mlp_backprop(params, x, t)
+            buffered_loss, buffered = mlp_backprop(params, x, t, grads, acts)
+            assert buffered is grads
+            assert buffered_loss == loss
+            for (gw, gb), (bw, bb) in zip(fresh, buffered):
+                assert np.array_equal(gw, bw) and np.array_equal(gb, bb)
+
 
 class TestViterbiCore:
     def test_matches_brute_force_on_random_lattices(self):
@@ -300,12 +330,34 @@ class TestChainStatistics:
 
 
 class TestTraining:
-    def test_toy_corpus_trains_to_perfect_fit(self):
+    def test_toy_corpus_trains_to_perfect_fit(self, tmp_path, monkeypatch):
+        """Every mini-batch step runs through the module's public
+        ``mlp_backprop`` (the benchmark tracer wraps it too); a wrapper
+        there sees each step and changes no model byte."""
         rng = np.random.default_rng(9)
         corpus = toy_corpus(rng)
+        store_model(train(corpus, TOY_CFG), tmp_path / "plain.hmm")
+        steps = []  # (loss, batch rows) of every mini-batch step
+        backprop = hmm.mlp_backprop
+
+        def record(params, inputs, targets, *buffers):
+            loss, grads = backprop(params, inputs, targets, *buffers)
+            steps.append((loss, len(targets)))
+            return loss, grads
+
+        monkeypatch.setattr(hmm, "mlp_backprop", record)
         model = train(corpus, TOY_CFG)
-        losses = model.loss_history[:5]
-        assert len(losses) == 5
+        store_model(model, tmp_path / "wrapped.hmm")
+        assert (tmp_path / "plain.hmm").read_bytes() == (tmp_path / "wrapped.hmm").read_bytes()
+        rows = sum(m.shape[1] for m, _ in corpus)
+        per_epoch = math.ceil(rows / TOY_CFG.batch_size)
+        assert len(steps) == TOY_CFG.realignment_rounds * TOY_CFG.epochs_per_round * per_epoch
+        losses = []
+        for lo in range(0, 5 * per_epoch, per_epoch):
+            epoch_loss = 0.0  # train's own accumulation
+            for loss, size in steps[lo : lo + per_epoch]:
+                epoch_loss += loss * size
+            losses.append(epoch_loss / rows)
         assert all(b < a for a, b in zip(losses, losses[1:]))
         for feats, label in corpus:
             predicted, scores = classify(model, feats)
