@@ -324,22 +324,20 @@ def mlp_backprop(
     return loss, grads
 
 
-def _chain_statistics(
-    alignments: Sequence[np.ndarray], class_indices: Sequence[int], b: int, s: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _chain_statistics(targets: np.ndarray, ends: np.ndarray, b: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-stochastic left-to-right matrices (B, S, S) and state priors
-    (B*S,) counted from the alignments.
+    (B*S,) counted from the alignment ``targets``, the (class, state) cell
+    ``c * S + state`` of every column of the sequences stacked in order;
+    ``ends`` holds the cumulative sequence lengths.
 
     Add-one smoothing on the two allowed transitions keeps every allowed
     probability positive even when a state never self-loops in the data;
     priors are floored at ``PRIOR_FLOOR`` and renormalized.
     """
-    lengths = [align.size for align in alignments]
-    cells = np.repeat(np.asarray(class_indices) * s, lengths) + np.concatenate(alignments)
-    has_next = np.ones(cells.size, dtype=bool)  # the frame's successor is in its sequence
-    has_next[np.cumsum(lengths) - 1] = False
-    origin = cells[has_next]
-    moved = cells[1:][has_next[:-1]] != origin
+    has_next = np.ones(targets.size, dtype=bool)  # the column's successor is in its sequence
+    has_next[ends - 1] = False
+    origin = targets[has_next]
+    moved = targets[1:][has_next[:-1]] != origin
     stay = np.bincount(origin[~moved], minlength=b * s).reshape(b, s)[:, :-1]
     advance = np.bincount(origin[moved], minlength=b * s).reshape(b, s)[:, :-1]
     total = stay + advance + 2.0
@@ -348,7 +346,7 @@ def _chain_statistics(
     trans[:, left, left] = (stay + 1.0) / total
     trans[:, left, left + 1] = (advance + 1.0) / total
     trans[:, s - 1, s - 1] = 1.0
-    priors = np.maximum(np.bincount(cells, minlength=b * s) / cells.size, PRIOR_FLOOR)
+    priors = np.maximum(np.bincount(targets, minlength=b * s) / targets.size, PRIOR_FLOOR)
     return trans, priors / priors.sum()
 
 
@@ -399,19 +397,19 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     Float32 matrices (raw frames) are kept as float32 and widened to
     float64 only where they are standardized; every computed value is
     float64, so the model does not depend on the input dtype.
-    Flat-start alignments bootstrap the first round; each round trains the
-    network on the current alignments, re-estimates transitions and
-    priors from them, then realigns every sequence for the next round.
+    Training keeps one alignment, the (class, state) target of every
+    training column, set by a flat start.  Each round trains the network
+    on it and counts transitions and priors from it, then realigns every
+    sequence, overwriting that sequence's targets in place.
     """
     if not corpus:
         raise TrainingError("training corpus is empty")
     matrices = [np.asarray(m) for m, _ in corpus]
     matrices = [m if m.dtype == np.float32 else m.astype(np.float64, copy=False) for m in matrices]
     labels_per_item = [label for _, label in corpus]
-    dims = {m.shape[0] for m in matrices}
-    if any(m.ndim != 2 for m in matrices) or len(dims) != 1:
+    if any(m.ndim != 2 for m in matrices) or len({m.shape[0] for m in matrices}) != 1:
         raise DimensionError("all feature matrices must be 2-D with one shared row count")
-    feature_dim = dims.pop()
+    feature_dim = matrices[0].shape[0]
     if feature_dim < 1:
         raise DimensionError("feature matrices must have at least one row")
     s = cfg.states_per_class
@@ -436,15 +434,10 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     # at a time, standardized into one float64 buffer.
     window = cfg.context_window
     cols = np.vstack([m.T for m in matrices])
-    seq_slices, index_blocks = [], []
-    start = 0
-    for m in matrices:
-        seq_slices.append(slice(start, start + m.shape[1]))
-        index_blocks.append(_context_index(m.shape[1], window) + start)
-        start += m.shape[1]
-    context = np.vstack(index_blocks)
-    del index_blocks
-    n_total = start
+    ends = np.cumsum([m.shape[1] for m in matrices])
+    seq_slices = [slice(end - m.shape[1], end) for m, end in zip(matrices, ends)]
+    context = np.vstack([_context_index(sl.stop - sl.start, window) + sl.start for sl in seq_slices])
+    n_total = int(ends[-1])
 
     # Standardize each input dimension over every training column, summed
     # in float64 one sequence at a time; the statistics are tiled over the
@@ -468,15 +461,9 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     rng = np.random.default_rng(cfg.seed)
     params = mlp_init((feature_dim * window, *cfg.hidden, b * s), rng)
     grads = [(np.empty(w.shape), np.empty(v.shape)) for w, v in params]
-    alignments = [flat_start_align(m.shape[1], s) for m in matrices]
-    transitions = np.zeros((b, s, s))
-    priors = np.full(b * s, 1.0 / (b * s))
+    targets = np.concatenate([c * s + flat_start_align(m.shape[1], s) for c, m in zip(class_indices, matrices)])
 
     for rnd in range(cfg.realignment_rounds):
-        targets = np.empty(n_total, dtype=np.intp)
-        for align, c, sl in zip(alignments, class_indices, seq_slices):
-            targets[sl] = c * s + align
-
         lr = cfg.learning_rate
         best_loss = np.inf
         # Every step of the round writes its activations and deltas here;
@@ -505,14 +492,11 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
                 best_loss = epoch_loss
 
         del activations
-        transitions, priors = _chain_statistics(alignments, class_indices, b, s)
+        transitions, priors = _chain_statistics(targets, ends, b, s)
 
         if rnd < cfg.realignment_rounds - 1:
-            # Copy each path row: a view would keep all B paths alive.
-            alignments = [
-                _chain_viterbi(params, priors, transitions, standardized(sl))[1][c].copy()
-                for c, sl in zip(class_indices, seq_slices)
-            ]
+            for c, sl in zip(class_indices, seq_slices):
+                targets[sl] = c * s + _chain_viterbi(params, priors, transitions, standardized(sl))[1][c]
 
     # Fold input standardization into the first layer so the stored model
     # consumes raw spliced features; the weights are scaled in place.

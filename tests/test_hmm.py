@@ -321,7 +321,9 @@ class TestChainStatistics:
             for _ in class_indices:
                 k = int(rng.integers(s, 12))
                 alignments.append(np.sort(np.r_[np.arange(s), rng.integers(0, s, k - s)]))
-            trans, priors = _chain_statistics(alignments, class_indices, b, s)
+            targets = np.concatenate([c * s + a for c, a in zip(class_indices, alignments)])
+            ends = np.cumsum([a.size for a in alignments])
+            trans, priors = _chain_statistics(targets, ends, b, s)
             ref_trans, ref_priors = per_frame_chain_statistics(
                 alignments, class_indices, b, s, PRIOR_FLOOR
             )
@@ -420,6 +422,63 @@ class TestTraining:
         corpus = [(np.zeros((0, 8)), label) for label in ("a", "a", "b", "b")]
         with pytest.raises(DimensionError, match="at least one row"):
             train(corpus, TOY_CFG)
+
+    def test_zero_dimensional_matrix_rejected(self):
+        corpus = [(np.float64(1.0), label) for label in ("a", "a", "b", "b")]
+        with pytest.raises(DimensionError, match="2-D"):
+            train(corpus, TOY_CFG)
+
+    def test_each_round_trains_and_counts_on_the_last_alignment(self, monkeypatch):
+        """Round 1's mini-batches see the flat start, each later round's
+        the previous realignment; the stored chains are counted from the
+        last realignment."""
+        rng = np.random.default_rng(18)
+        shapes = {"flat": np.zeros, "ramp": lambda k: np.linspace(-2.0, 2.0, k), "bump": np.hanning}
+        corpus = []
+        for _ in range(2):
+            for label, shape in shapes.items():
+                k = int(rng.integers(8, 14))
+                corpus.append((np.tile(shape(k), (4, 1)) + rng.normal(0.0, 0.3, (4, k)), label))
+        cfg = replace(TOY_CFG, realignment_rounds=3, epochs_per_round=2)
+        s = cfg.states_per_class
+        labels = sorted({label for _, label in corpus})
+        class_indices = [labels.index(label) for _, label in corpus]
+        step_targets, paths = [], []
+        backprop, chain_viterbi = hmm.mlp_backprop, hmm._chain_viterbi
+
+        def record_step(params, inputs, targets, *buffers):
+            step_targets.append(np.array(targets))
+            return backprop(params, inputs, targets, *buffers)
+
+        def record_paths(*args):
+            scores, best = chain_viterbi(*args)
+            paths.append(best.copy())
+            return scores, best
+
+        monkeypatch.setattr(hmm, "mlp_backprop", record_step)
+        monkeypatch.setattr(hmm, "_chain_viterbi", record_paths)
+        model = train(corpus, cfg)
+
+        n = len(corpus)
+        assert len(paths) == (cfg.realignment_rounds - 1) * n
+        alignments = [[flat_start_align(m.shape[1], s) for m, _ in corpus]]
+        for rnd in range(cfg.realignment_rounds - 1):
+            alignments.append([p[c] for p, c in zip(paths[rnd * n : (rnd + 1) * n], class_indices)])
+        assert any(
+            not np.array_equal(a, b) for before, after in zip(alignments, alignments[1:]) for a, b in zip(before, after)
+        )
+        rows = sum(m.shape[1] for m, _ in corpus)
+        per_epoch = math.ceil(rows / cfg.batch_size)
+        per_round = cfg.epochs_per_round * per_epoch
+        assert len(step_targets) == cfg.realignment_rounds * per_round
+        for rnd, alignment in enumerate(alignments):
+            expected = np.sort(np.concatenate([c * s + a for c, a in zip(class_indices, alignment)]))
+            for lo in range(rnd * per_round, (rnd + 1) * per_round, per_epoch):
+                seen = np.sort(np.concatenate(step_targets[lo : lo + per_epoch]))
+                assert np.array_equal(seen, expected)
+        trans, priors = per_frame_chain_statistics(alignments[-1], class_indices, len(labels), s, PRIOR_FLOOR)
+        assert np.array_equal(model.transitions, trans)
+        assert np.array_equal(model.priors, priors)
 
     def test_labels_sorted_for_stable_class_order(self):
         rng = np.random.default_rng(16)
