@@ -118,14 +118,17 @@ def _windowed_rms(f: np.ndarray, window: int, kept: slice) -> np.ndarray:
     """:func:`rms_envelope` at ``kept``, a basic slice, so overlapping windows stay a view.
 
     ``f`` may be float32 (frames as stored): it is squared in float64,
-    straight into the zero-padded buffer the windows view.  A window past
-    ``2 * len(f)`` samples covers no further one: only that span is viewed.
+    straight into the zero-padded buffer the windows view.  A window of
+    ``2 * len(f)`` samples or more covers every sample wherever it sits,
+    so the envelope is one constant, summed once.
     """
-    span = min(window, 2 * f.size)
-    half = span // 2
-    padded = np.zeros(f.size + span - 1)
+    if window >= 2 * f.size:
+        total = np.square(f, dtype=np.float64).sum()
+        return np.full(len(range(f.size)[kept]), np.sqrt(total / window))
+    half = window // 2
+    padded = np.zeros(f.size + window - 1)
     np.square(f, out=padded[half : half + f.size], dtype=np.float64)
-    windows = sliding_window_view(padded, span)
+    windows = sliding_window_view(padded, window)
     return np.sqrt(windows[kept].sum(axis=1) / window)
 
 

@@ -70,6 +70,16 @@ def _clutter_profile() -> np.ndarray:
 
 CLUTTER_PROFILE = _clutter_profile()
 
+# Bins either side of an echo's centre that can change the frame map.
+# Every term added to the map is >= 0, so no cell falls below the clutter
+# floor; past this reach an echo is under 2**-54 of that floor, less than
+# half an ulp of the cell, so adding it would round back to the cell.
+_ECHO_REACH = math.ceil(
+    math.sqrt(2.0 * PULSE_WIDTH_BINS**2 * math.log(ECHO_AMPLITUDE * 2.0**54 / CLUTTER_PROFILE.min()))
+)
+# Frames rendered at a time: a float64 block, stored as float32.
+_BLOCK_FRAMES = 1024
+
 
 @dataclass(frozen=True)
 class GestureBump:
@@ -165,6 +175,10 @@ def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSe
     rigidly; the clutter background stays fixed to the room.  The onset
     jitter must stay below half the script's duration, so the script's
     midpoint always falls inside the rendered frames.
+
+    Frames are rendered ``_BLOCK_FRAMES`` at a time in float64, each echo
+    only within ``_ECHO_REACH`` bins of its centre, and stored as float32;
+    the noise is drawn block by block from the one stream.
     """
     if cfg.onset_jitter_s >= script.duration_s / 2:
         raise GenerationError(
@@ -180,22 +194,28 @@ def render_frameset(script: GestureScript, cfg: SimConfig, seed: int) -> FrameSe
         raise GenerationError("jittered duration renders zero frames")
 
     t = np.arange(1, frame_count + 1, dtype=np.float64) / DEFAULT_FRAME_RATE_HZ
-    bins = np.arange(1, DEFAULT_BIN_COUNT + 1, dtype=np.float64)
-    data = np.tile(CLUTTER_PROFILE, (frame_count, 1))
-    denom = 2.0 * PULSE_WIDTH_BINS**2
+    echoes = []  # (peak amplitude, 1-based continuous centre bin per frame)
     for reflector in script.reflectors:
         dist = reflector.distance_at(t, time_scale, onset_shift) + position_shift
         if dist.min() <= 0.0 or dist.max() >= DEFAULT_RANGE_M:
             raise GenerationError(
                 f"reflector trajectory leaves (0, {DEFAULT_RANGE_M}) m for script {script.label!r}"
             )
-        center_bins = dist * DEFAULT_BIN_COUNT / DEFAULT_RANGE_M  # 1-based, continuous
-        data += reflector.reflectivity * ECHO_AMPLITUDE * np.exp(
-            -((bins[None, :] - center_bins[:, None]) ** 2) / denom
-        )
-    if cfg.noise_sigma > 0.0:
-        data += rng.normal(0.0, cfg.noise_sigma, size=data.shape)
-    np.clip(data, 0.0, 100.0, out=data)
+        echoes.append((reflector.reflectivity * ECHO_AMPLITUDE, dist * DEFAULT_BIN_COUNT / DEFAULT_RANGE_M))
+    bins = np.arange(1, DEFAULT_BIN_COUNT + 1, dtype=np.float64)
+    denom = 2.0 * PULSE_WIDTH_BINS**2
+    data = np.empty((frame_count, DEFAULT_BIN_COUNT), dtype=np.float32)
+    for f0 in range(0, frame_count, _BLOCK_FRAMES):
+        f1 = min(f0 + _BLOCK_FRAMES, frame_count)
+        block = np.tile(CLUTTER_PROFILE, (f1 - f0, 1))
+        for amplitude, centre in echoes:
+            c = centre[f0:f1]
+            lo = max(0, int(c.min()) - _ECHO_REACH)
+            hi = min(DEFAULT_BIN_COUNT, int(c.max()) + _ECHO_REACH)
+            block[:, lo:hi] += amplitude * np.exp(-((bins[lo:hi] - c[:, None]) ** 2) / denom)
+        if cfg.noise_sigma > 0.0:
+            block += rng.normal(0.0, cfg.noise_sigma, size=block.shape)
+        data[f0:f1] = np.clip(block, 0.0, 100.0, out=block)
     return FrameSet(
         data,
         frame_rate_hz=DEFAULT_FRAME_RATE_HZ,

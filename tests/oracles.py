@@ -9,6 +9,10 @@ import math
 
 import numpy as np
 
+from ferasec.errors import GenerationError
+from ferasec.frames import DEFAULT_BIN_COUNT, DEFAULT_FRAME_RATE_HZ, DEFAULT_RANGE_M, FrameSet
+from ferasec.synth import CLUTTER_PROFILE, ECHO_AMPLITUDE, PULSE_WIDTH_BINS
+
 
 def naive_rms(f, window):
     """Per-position RMS with each window summed from scratch (fsum)."""
@@ -185,3 +189,47 @@ def random_left_to_right(rng, s):
         trans[i, i + 1] = 1.0 - p
     trans[s - 1, s - 1] = 1.0
     return trans
+
+
+def naive_render(script, cfg, seed):
+    """Full-width float64 render: every echo over every bin, one noise draw.
+
+    It shares the trajectories (``Reflector.distance_at``), the constants
+    and ``FrameSet`` with the library; only the map is built differently.
+    """
+    if cfg.onset_jitter_s >= script.duration_s / 2:
+        raise GenerationError(
+            f"onset jitter {cfg.onset_jitter_s} s must be below half of script "
+            f"{script.label!r}'s duration {script.duration_s} s"
+        )
+    rng = np.random.default_rng(seed)
+    onset_shift = float(rng.uniform(-cfg.onset_jitter_s, cfg.onset_jitter_s))
+    time_scale = float(1.0 + rng.uniform(-cfg.duration_jitter_fraction, cfg.duration_jitter_fraction))
+    position_shift = float(rng.uniform(-cfg.position_jitter_m, cfg.position_jitter_m))
+    frame_count = int(round(script.duration_s * time_scale * DEFAULT_FRAME_RATE_HZ))
+    if frame_count < 1:
+        raise GenerationError("jittered duration renders zero frames")
+
+    t = np.arange(1, frame_count + 1, dtype=np.float64) / DEFAULT_FRAME_RATE_HZ
+    bins = np.arange(1, DEFAULT_BIN_COUNT + 1, dtype=np.float64)
+    data = np.tile(CLUTTER_PROFILE, (frame_count, 1))
+    denom = 2.0 * PULSE_WIDTH_BINS**2
+    for reflector in script.reflectors:
+        dist = reflector.distance_at(t, time_scale, onset_shift) + position_shift
+        if dist.min() <= 0.0 or dist.max() >= DEFAULT_RANGE_M:
+            raise GenerationError(
+                f"reflector trajectory leaves (0, {DEFAULT_RANGE_M}) m for script {script.label!r}"
+            )
+        center_bins = dist * DEFAULT_BIN_COUNT / DEFAULT_RANGE_M  # 1-based, continuous
+        data += reflector.reflectivity * ECHO_AMPLITUDE * np.exp(
+            -((bins[None, :] - center_bins[:, None]) ** 2) / denom
+        )
+    if cfg.noise_sigma > 0.0:
+        data += rng.normal(0.0, cfg.noise_sigma, size=data.shape)
+    np.clip(data, 0.0, 100.0, out=data)
+    return FrameSet(
+        data,
+        frame_rate_hz=DEFAULT_FRAME_RATE_HZ,
+        range_m=DEFAULT_RANGE_M,
+        label=script.label,
+    )

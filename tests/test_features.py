@@ -104,13 +104,15 @@ class TestRmsEnvelope:
             rms_envelope(np.ones(10), 5)
 
     def test_windows_past_twice_the_input_match_naive_reference(self):
-        # Such a window covers every sample from every position; only its
-        # divisor grows, so it costs what a 2*len window does.
+        # Such a window covers every sample from every position, so the
+        # envelope is one constant; only its divisor grows.
         rng = np.random.default_rng(5)
         for n in (1, 2, 7, 64, 301):
-            f = rng.normal(0.0, 10.0, size=n)
-            for window in (2 * n, 2 * n + 2, 4 * n + 6, 10**6):
-                np.testing.assert_allclose(rms_envelope(f, window), naive_rms(f, window), rtol=1e-12, atol=1e-14)
+            for f in (rng.normal(0.0, 10.0, size=n), rng.uniform(0.0, 100.0, n).astype(np.float32)):
+                for window in (2 * n, 2 * n + 2, 4 * n + 6, 10**6):
+                    got = rms_envelope(f, window)
+                    np.testing.assert_allclose(got, naive_rms(f, window), rtol=1e-12, atol=1e-14)
+                    assert np.all(got == got[0])
 
 
 class TestDownsample:

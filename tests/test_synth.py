@@ -1,13 +1,20 @@
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ferasec import synth
 from ferasec.errors import DomainError, FormatError, GenerationError
 from ferasec.frames import DEFAULT_BIN_COUNT, DEFAULT_FRAME_RATE_HZ, load_frameset, load_manifest
 from ferasec.synth import (
     CLUTTER_PROFILE,
+    DIFFICULTIES,
     ECHO_AMPLITUDE,
     MAX_DURATION_S,
+    PULSE_WIDTH_BINS,
     GestureBump,
     GestureScript,
     Reflector,
@@ -17,6 +24,7 @@ from ferasec.synth import (
     render_frameset,
     vowel8_preset,
 )
+from oracles import naive_render
 
 
 def quiet_config(**overrides):
@@ -98,6 +106,88 @@ class TestRenderFrameset:
     def test_label_carried(self):
         fs = render_frameset(single_reflector_script(0.5, label="hello"), quiet_config(), 6)
         assert fs.label == "hello"
+
+
+def assert_same_bytes(script, cfg, seed):
+    """The banded, blocked render against the full-width one; both may refuse the script."""
+    try:
+        expected = naive_render(script, cfg, seed)
+    except GenerationError:
+        with pytest.raises(GenerationError):
+            render_frameset(script, cfg, seed)
+        return
+    got = render_frameset(script, cfg, seed)
+    assert got.data.shape == expected.data.shape
+    assert got.data.tobytes() == expected.data.tobytes()
+
+
+_BUMP = st.builds(
+    GestureBump,
+    st.floats(0.0, 1.0),
+    st.floats(0.01, 0.5),
+    st.floats(-0.3, 0.3),
+)
+_REFLECTOR = st.builds(
+    Reflector,
+    st.floats(1e-3, 1.0, exclude_max=True),
+    st.lists(_BUMP, max_size=2).map(tuple),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+class TestBandedRender:
+    """Echo bands and frame blocks give the full-width render's bytes."""
+
+    @pytest.mark.parametrize("difficulty", DIFFICULTIES)
+    def test_vowel8_items_equal_the_full_width_render(self, difficulty):
+        scripts, cfg = vowel8_preset(difficulty)
+        for script in scripts:
+            for seed in (1, 2024):
+                assert_same_bytes(script, cfg, seed)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        reflectors=st.lists(_REFLECTOR, max_size=4),
+        duration=st.floats(0.02, 1.5),
+        noise_sigma=st.sampled_from([0.0, 0.5, 6.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_arbitrary_scripts_equal_the_full_width_render(self, reflectors, duration, noise_sigma, seed):
+        script = GestureScript("s", tuple(reflectors), duration)
+        cfg = SimConfig(noise_sigma=noise_sigma, onset_jitter_s=0.0, position_jitter_m=0.02)
+        assert_same_bytes(script, cfg, seed)
+
+    def test_item_longer_than_a_block(self):
+        scripts, cfg = vowel8_preset("hard")
+        script = GestureScript("long", scripts[5].reflectors, 12.0)
+        assert_same_bytes(script, cfg, 7)
+        assert render_frameset(script, cfg, 7).m > 2 * synth._BLOCK_FRAMES
+
+    def test_echo_past_the_reach_rounds_away(self):
+        # The inequality in the comment on ``_ECHO_REACH``; one bin nearer fails it.
+        floor = float(CLUTTER_PROFILE.min())
+        assert floor > 0.0
+
+        def echo(bins):
+            return ECHO_AMPLITUDE * math.exp(-(bins**2) / (2.0 * PULSE_WIDTH_BINS**2))
+
+        assert echo(synth._ECHO_REACH) < 2.0**-54 * floor <= echo(synth._ECHO_REACH - 1)
+        assert echo(synth._ECHO_REACH) < np.spacing(floor) / 2
+        assert floor + echo(synth._ECHO_REACH) == floor
+
+    def test_sixty_second_item_stays_within_the_documented_peak(self):
+        """The README's bound: a render peaks below 2.5 times its float32 result."""
+        scripts, cfg = vowel8_preset("medium")
+        script = GestureScript("long", scripts[3].reflectors, MAX_DURATION_S)
+        render_frameset(replace(script, duration_s=1.0), cfg, 11)  # warm the allocation paths
+        tracemalloc.start()
+        try:
+            fs = render_frameset(script, cfg, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.m > 10 * synth._BLOCK_FRAMES
+        assert peak <= 2.5 * fs.data.nbytes
 
 
 class TestDefaultClutterProfile:
