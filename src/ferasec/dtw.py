@@ -42,13 +42,33 @@ def _as_feature_array(x) -> np.ndarray:
     return arr
 
 
-# Bytes that one block of the batched recurrence may hold.  References
-# are split into equal chunks, and a chunk's query rows into equal bands,
+# Bytes that one block of the batched recurrence may hold.  A query's
+# references are split into equal chunks, and its rows into equal bands,
 # so that a band of R rows holds at most (K2max + 3) x (R + d + 2) float64
 # values per reference: R x K2max local costs, the d x K2max padded
 # reference, 3 x (R + 1) + K2max + 1 recurrence values and a few scalars.
 # Filling the costs takes at most an eighth more as scratch.
 _BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def _bands(k1: int, k2: int, batch: int, d: int) -> int:
+    """Fewest equal bands of ``k1`` query rows for a chunk of ``batch`` references to fit the block."""
+    return -(-k1 // min(k1, max(1, _BLOCK_BYTES // (8 * (k2 + 3) * batch) - d - 2)))
+
+
+def _chunk_count(k1: int, k2: int, batch: int, d: int) -> int:
+    """Chunks of ``batch`` references that take the fewest anti-diagonal steps in all.
+
+    A chunk in b bands takes K1 + b (K2max - 1) steps, each a few NumPy
+    calls whose fixed cost sets the time.  The candidates run from the
+    fewest chunks whose one-row bands fit the block to the fewest whose
+    single full-height bands do; more chunks only add steps.  Ties go to
+    fewer chunks.
+    """
+    fewest = -(-batch // max(1, _BLOCK_BYTES // (8 * (k2 + 3) * (1 + d + 2))))
+    most = -(-batch // max(1, _BLOCK_BYTES // (8 * (k2 + 3) * (k1 + d + 2))))
+    return min(range(fewest, most + 1),
+               key=lambda c: c * (k1 + _bands(k1, k2, -(-batch // c), d) * (k2 - 1)))
 
 
 def _column_costs(x: np.ndarray, y: np.ndarray, metric: str, out: np.ndarray,
@@ -82,9 +102,12 @@ def local_cost_matrix(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
 def _chunk_distances(xa: np.ndarray, refs: list[np.ndarray], metric: str) -> np.ndarray:
     """Warping distances from ``xa`` to each of ``refs``, one band of query rows at a time.
 
-    A band first fills its local costs, shape (rows, K2max, B), a few
-    query columns at a time; then the recurrence reads its diagonal
-    ``t`` as one strided view of that tensor.  ``above[j + 1]`` is ``D``
+    The bands are equal and as tall as ``_BLOCK_BYTES`` allows with all
+    of ``refs`` in each (:func:`_bands`); a band of R rows takes
+    R + K2max - 1 diagonal steps.  A band first fills its local costs,
+    shape (R, K2max, B), a few query columns at a time; then the
+    recurrence reads its diagonal ``t`` as one strided view of that
+    tensor.  ``above[j + 1]`` is ``D``
     on the row above the band at column ``j``, and ``above[0]`` the
     column before the first: the ``0`` origin above the first band, the
     ``inf`` border below it.  Each band overwrites ``above`` with its own
@@ -96,8 +119,7 @@ def _chunk_distances(xa: np.ndarray, refs: list[np.ndarray], metric: str) -> np.
     padded = np.zeros((d, 1, k2, batch))  # axis 1 broadcasts over query columns
     for b, ya in enumerate(refs):
         padded[:, 0, :ya.shape[1], b] = ya
-    rows = min(k1, max(1, _BLOCK_BYTES // (8 * (k2 + 3) * batch) - d - 2))
-    rows = -(-k1 // -(-k1 // rows))  # equal bands
+    rows = -(-k1 // _bands(k1, k2, batch, d))
     step = min(rows, max(1, _BLOCK_BYTES // 8 // (8 * k2 * batch)))  # columns per fill
     cost = np.empty((rows, k2, batch))
     flat = cost.reshape(rows * k2, batch)  # cell (i, t - i) is row t + i * (k2 - 1)
@@ -139,12 +161,13 @@ def mddtw_distances(query, references: Sequence, cfg: DtwConfig = DtwConfig()) -
     D[i, j-1])`` (``inf`` border, ``0`` before the origin) is evaluated
     one anti-diagonal ``i + j = t`` at a time, for a chunk of references
     in the same array operations.  The references are split into equal
-    chunks that fit in ``_BLOCK_BYTES`` (a chunk holds one reference at
-    least, in bands of query rows if it must), so memory per query does
-    not grow with their number.  Each distance is read at its own
-    ``(K1, K2)`` cell, which no monotone path through the zero padding
-    of a chunk reaches, so every value equals the cell-by-cell
-    recurrence bit for bit.
+    chunks, as few or as many as take the fewest diagonal steps
+    (:func:`_chunk_count`), and each chunk's query rows into equal bands
+    that fit in ``_BLOCK_BYTES``; a chunk holds one reference at least,
+    so memory per query does not grow with their number.  Each distance
+    is read at its own ``(K1, K2)`` cell, which no monotone path through
+    the zero padding of a chunk reaches, so every value equals the
+    cell-by-cell recurrence bit for bit.
     """
     xa = _as_feature_array(query)
     if len(references) == 0:
@@ -159,7 +182,7 @@ def mddtw_distances(query, references: Sequence, cfg: DtwConfig = DtwConfig()) -
             )
     k2 = max(ya.shape[1] for ya in refs)
     batch = len(refs)
-    chunks = -(-batch // max(1, _BLOCK_BYTES // (8 * (k2 + 3) * (k1 + d + 2))))
+    chunks = _chunk_count(k1, k2, batch, d)
     out = np.empty(batch)
     for c in range(chunks):
         lo, hi = batch * c // chunks, batch * (c + 1) // chunks

@@ -65,9 +65,10 @@ class FrameSet:
         data = np.array(self.data, dtype=np.float32, copy=True)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise DimensionError("frame-set data must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(data)):
-            raise DomainError("frame-set amplitudes must be finite")
-        if data.min() < 0.0 or data.max() > 100.0:
+        # NaN and +-inf fail the range check too; only then is the mask built.
+        if not (data.min() >= 0.0 and data.max() <= 100.0):
+            if not np.all(np.isfinite(data)):
+                raise DomainError("frame-set amplitudes must be finite")
             raise DomainError("raw frame-set amplitudes must lie in [0, 100]")
         # Headers persist as 32-bit floats; coerce now so round-trips are exact.
         for name in ("frame_rate_hz", "range_m"):

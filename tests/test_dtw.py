@@ -128,13 +128,61 @@ class TestMddtwDistances:
             self.assert_matches_oracle(rng.normal(size=(6, 1)), ragged(rng, [k, 1, 3]))
             self.assert_matches_oracle(rng.normal(size=(6, k)), ragged(rng, [1, 1, k]))
 
-    def test_batch_spanning_two_chunks(self):
+    def count_chunks(self, monkeypatch):
+        """Reference counts of the ``_chunk_distances`` calls that follow."""
+        calls, real = [], dtw._chunk_distances
+
+        def spy(xa, refs, metric):
+            calls.append(len(refs))
+            return real(xa, refs, metric)
+
+        monkeypatch.setattr(dtw, "_chunk_distances", spy)
+        return calls
+
+    def test_tall_query_runs_in_bands_of_one_chunk(self, monkeypatch):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(2, 200))
         refs = ragged(rng, rng.integers(150, 201, size=8), rows=2)
-        # One chunk of all eight would not fit the block.
+        # A full-height band of all eight would not fit the block.
         assert 8 * (200 + 3) * (200 + 2 + 2) * 8 > dtw._BLOCK_BYTES
+        calls = self.count_chunks(monkeypatch)
         self.assert_matches_oracle(x, refs)
+        assert calls == [8, 8]  # one chunk per metric
+
+    def test_batch_spanning_several_chunks(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(6, 3))
+        refs = ragged(rng, [60] * 500)
+        # A one-row band of all 500 would not fit the block.
+        assert 500 * (60 + 3) * (1 + 6 + 2) * 8 > dtw._BLOCK_BYTES
+        calls = self.count_chunks(monkeypatch)
+        self.assert_matches_oracle(x, refs)
+        assert calls == [250] * 4  # two equal chunks per metric
+
+    def test_loocv_sized_batch_runs_as_one_chunk(self, monkeypatch):
+        """One query of a 160-item LOOCV (d = 6, K <= 65) against the
+        other 159 items takes one chunk, cut into bands of query rows."""
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(6, 65))
+        refs = ragged(rng, rng.integers(40, 66, size=159))
+        calls = self.count_chunks(monkeypatch)
+        self.assert_matches_oracle(x, refs)
+        assert calls == [159, 159]  # one chunk per metric
+
+    def test_large_batch_splits_where_that_takes_fewer_steps(self, monkeypatch):
+        """400 references of 65 columns (d = 6) fit one chunk only in
+        one-row bands, 4,225 diagonal steps; two chunks of six bands take
+        898, and eight full-height chunks 1,032."""
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(6, 65))
+        refs = ragged(rng, [65] * 400)
+        calls = self.count_chunks(monkeypatch)
+        got = mddtw_distances(x, refs)
+        assert calls == [200, 200]
+        for b in range(0, 400, 57):  # both chunks
+            assert got[b] == per_cell_dtw(x, refs[b], "euclidean")
+        # No cliff where one-row bands of all references stop fitting (428 -> 429).
+        assert [dtw._chunk_count(65, 65, b, 6) for b in (159, 250, 400, 428, 429)] == [1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("block_bytes", [None, 2048, 512], ids=["default", "2KiB", "512B"])
     @pytest.mark.parametrize(

@@ -38,10 +38,15 @@ def random_raw_frameset(rng, m=None, n=None, **kwargs):
 
 class TestFrameSetType:
     def test_raw_range_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"lie in \[0, 100\]"):
             FrameSet(np.array([[0.0, 101.0]]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"lie in \[0, 100\]"):
             FrameSet(np.array([[-0.5, 10.0]]))
+        # A non-finite amplitude is named as such, even beside an out-of-range one.
+        for bad in (math.nan, math.inf, -math.inf):
+            for row in ([bad, 10.0], [bad, 101.0], [101.0, bad]):
+                with pytest.raises(DomainError, match="must be finite"):
+                    FrameSet(np.array([row]))
 
     def test_immutable(self):
         fs = random_raw_frameset(np.random.default_rng(0))

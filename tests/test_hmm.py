@@ -508,9 +508,10 @@ class TestTrainingMemory:
 
     def test_raw_frame_peak_stays_within_the_documented_bound(self, tmp_path):
         """The README's bound on one training fold: float32 inputs and
-        their spliced-row indices, the network plus one gradient set, and
-        two float64 blocks of max(batch, longest sequence) spliced rows
-        (the standardized buffer and the working space of one pass)."""
+        their spliced-row indices, the alignment targets, the network plus
+        one gradient set, and two float64 blocks of max(batch, longest
+        sequence) spliced rows (the standardized buffer and the working
+        space of one pass)."""
         scripts, sim = vowel8_preset("medium")
         manifest = generate_corpus(scripts, 4, sim, 2024, tmp_path)
         frames = item_features(manifest, "hmm-raw", FerasecConfig())
@@ -522,7 +523,7 @@ class TestTrainingMemory:
         widths = (window * dims, *cfg.hidden, len(scripts) * cfg.states_per_class)
         params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
         block = max(min(cfg.batch_size, rows), longest) * window * dims * 8
-        bound = rows * dims * 4 + rows * window * 8 + 2 * 8 * params + 2 * block
+        bound = rows * dims * 4 + rows * window * 8 + rows * 8 + 2 * 8 * params + 2 * block
         corpus = list(zip(frames, (e.label for e in manifest.entries)))
         tracemalloc.start()
         try:
