@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .frames import FrameSet
+from .frames import _BLOCK_FRAMES, FrameSet
 
 __all__ = ["DEFAULT_ALPHA", "reduce_frameset"]
 
@@ -35,21 +35,24 @@ def reduce_frameset(raw: FrameSet, alpha: float) -> np.ndarray:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
     c = raw.data[0].astype(np.float64)
-    row, step = np.empty_like(c), np.empty_like(c)
-    # The map keeps the raw samples' precision: each row is computed in
-    # float64 and rounded to float32 once, as it is stored.
+    step = np.empty_like(c)
+    # The map keeps the raw samples' precision: frames are widened to
+    # float64 a block at a time, reduced in place, and each block is
+    # rounded to float32 once, as it is stored.
+    block = np.empty((min(raw.m, _BLOCK_FRAMES), raw.n))
     reduced = np.empty(raw.data.shape, dtype=np.float32)
     one_minus = 1.0 - alpha
-    for m in range(raw.m):
-        # Incremental form of alpha*c + (1-alpha)*r: it keeps the fixed
-        # point exact, so a converged estimate reduces to exactly zero.
-        # Written in place into float64 row buffers, the loop allocates
-        # nothing per frame.
-        row[...] = raw.data[m]
-        np.subtract(row, c, out=step)
-        step *= one_minus
-        c += step
-        np.subtract(row, c, out=step)
-        reduced[m] = step
+    for lo in range(0, raw.m, _BLOCK_FRAMES):
+        frames = raw.data[lo : lo + _BLOCK_FRAMES]
+        rows = block[: len(frames)]
+        rows[...] = frames
+        for row in rows:
+            # Incremental form of alpha*c + (1-alpha)*r: it keeps the fixed
+            # point exact, so a converged estimate reduces to exactly zero.
+            np.subtract(row, c, out=step)
+            step *= one_minus
+            c += step
+            np.subtract(row, c, out=row)
+        reduced[lo : lo + len(rows)] = rows
     reduced.setflags(write=False)
     return reduced

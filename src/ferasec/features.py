@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter import DEFAULT_ALPHA, reduce_frameset
 from .errors import ByteReader, DimensionError, DomainError, FormatError, Header, float32_bytes
@@ -36,6 +35,8 @@ __all__ = [
 
 FEATURE_ROW_COUNT = 6
 _HEADER = Header(b"FTM1", ("rows", "I"), ("length", "I"))
+# Squared samples held at a time by the RMS envelope, in bytes.
+_SQUARES_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,67 @@ def rms_envelope(f: np.ndarray, window: int) -> np.ndarray:
 
 
 def _windowed_rms(f: np.ndarray, window: int, kept: slice) -> np.ndarray:
-    """:func:`rms_envelope` at ``kept``, a basic slice, so overlapping windows stay a view.
+    """:func:`rms_envelope` at ``kept``, a basic slice of positions.
 
-    ``f`` may be float32 (frames as stored): it is squared in float64,
-    straight into the zero-padded buffer the windows view.  A window of
-    ``2 * len(f)`` samples or more covers every sample wherever it sits,
-    so the envelope is one constant, summed once.
+    Only the samples inside the kept windows are squared, each at most
+    once, in float64 (``f`` may be float32, frames as stored), and at
+    most ``_SQUARES_BYTES`` of them at a time.  Each window is summed as
+    one contiguous row of ``window`` squares; a window that runs past an
+    end of ``f`` reads a zero-extended copy of its few samples.  A window
+    of ``2 * len(f)`` samples or more covers every sample wherever it
+    sits, so the envelope is one constant, summed once.
     """
+    positions = range(f.size)[kept]
+    f = np.ascontiguousarray(f)
     if window >= 2 * f.size:
         total = np.square(f, dtype=np.float64).sum()
-        return np.full(len(range(f.size)[kept]), np.sqrt(total / window))
+        return np.full(len(positions), np.sqrt(total / window))
+    # Window j covers samples starts[j] .. starts[j] + window - 1.  The
+    # windows before ``inner`` start before sample 0 and those from
+    # ``outer`` on end past the last sample; one window may do both.
     half = window // 2
-    padded = np.zeros(f.size + window - 1)
-    np.square(f, out=padded[half : half + f.size], dtype=np.float64)
-    windows = sliding_window_view(padded, window)
-    return np.sqrt(windows[kept].sum(axis=1) / window)
+    starts = range(positions.start - half, positions.stop - half, positions.step)
+    step = starts.step
+    inner = len(range(starts.start, 0, step))
+    outer = max(inner, len(range(starts.start, f.size - window + 1, step)))
+    # Overlapping windows (step < window) view the squares of the samples
+    # they span; windows apart from each other square only their own
+    # samples.  Either way ``count`` windows take ``(count - 1) * spacing
+    # + window`` squares.
+    spacing = min(step, window)
+    chunk = min(len(starts), max(1, (_SQUARES_BYTES // 8 - window) // spacing + 1))
+    squares = np.empty((chunk - 1) * spacing + window)
+    sums = np.empty(len(starts))
+    for j0, j1 in ((0, inner), (inner, outer), (outer, len(starts))):
+        if j0 == j1:
+            continue
+        lo, hi = starts[j0], starts[j1 - 1] + window
+        samples = f[lo:hi] if 0 <= lo and hi <= f.size else _zero_extended(f, lo, hi)
+        for i in range(0, j1 - j0, chunk):
+            count = min(chunk, j1 - j0 - i)
+            span = samples[i * step : i * step + (count - 1) * step + window]
+            if step < window:
+                span = np.square(span, out=squares[: len(span)], dtype=np.float64)
+                rows = _windows(span, count, step, window)
+            else:
+                rows = squares[: count * window].reshape(count, window)
+                np.square(_windows(span, count, step, window), out=rows, dtype=np.float64)
+            np.add.reduce(rows, axis=1, out=sums[j0 + i : j0 + i + count])
+    sums /= window
+    return np.sqrt(sums, out=sums)
+
+
+def _windows(a: np.ndarray, count: int, step: int, window: int) -> np.ndarray:
+    """``sliding_window_view(a, window)[::step]`` of ``count`` windows over the
+    contiguous ``a``, built directly: the last window ends at ``a``'s last element."""
+    return np.ndarray((count, window), a.dtype, a, 0, (step * a.itemsize, a.itemsize))
+
+
+def _zero_extended(f: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Samples ``lo .. hi - 1`` of ``f``, zero outside ``0 .. len(f) - 1``."""
+    out = np.zeros(hi - lo, dtype=f.dtype)
+    out[max(lo, 0) - lo : min(hi, f.size) - lo] = f[max(lo, 0) : min(hi, f.size)]
+    return out
 
 
 def _kept_samples(length: int, factor: int) -> slice:

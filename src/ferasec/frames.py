@@ -48,6 +48,25 @@ _HEADER = Header(b"FRS1", ("n", "I"), ("m", "I"), ("frame_rate_hz", "f"), ("rang
 DEFAULT_BIN_COUNT = 256
 DEFAULT_FRAME_RATE_HZ = 200.0
 DEFAULT_RANGE_M = 1.0
+# Frames widened to float64 at a time by the code that renders or filters
+# a frame set: one float64 block of this many frames beside the float32 map.
+_BLOCK_FRAMES = 1024
+
+
+def _immutable_float32(data) -> np.ndarray:
+    """``data`` as float32 amplitudes that nothing else can change.
+
+    A read-only float32 view of a ``bytes`` object (what
+    :func:`load_frameset` reads) is already immutable and is adopted as
+    it is; anything else is copied.
+    """
+    if isinstance(data, np.ndarray) and data.dtype == np.float32 and not data.flags.writeable:
+        base = data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if type(base) is bytes:
+            return data
+    return np.array(data, dtype=np.float32, copy=True)
 
 
 @dataclass(frozen=True)
@@ -62,7 +81,7 @@ class FrameSet:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=np.float32, copy=True)
+        data = _immutable_float32(self.data)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise DimensionError("frame-set data must be a non-empty 2-D matrix")
         # NaN and +-inf fail the range check too; only then is the mask built.

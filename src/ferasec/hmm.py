@@ -350,43 +350,98 @@ def _chain_statistics(targets: np.ndarray, ends: np.ndarray, b: int, s: int) -> 
     return trans, priors / priors.sum()
 
 
-def _viterbi_core(emissions: np.ndarray, log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-path scores and paths over B left-to-right lattices at once.
+# Steps whose stay/advance choices a backtrace makes again at once.
+_BACKTRACE_STEPS = 16
 
-    ``emissions`` is (K, B, S) and ``log_trans`` (B, S, S); returns scores
-    (B,) and paths (B, K).  Every path is forced to start in state 0 and
-    end in state S-1, and ties go to the self-loop.  Requires K >= S.
+
+def _chain_steps(log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B*S,) log-probabilities of staying in each cell and of entering
+    it from the cell before; entering state 0 is -inf."""
+    stay_logp = np.diagonal(log_trans, axis1=1, axis2=2).reshape(-1)
+    adv_logp = np.full(log_trans.shape[:2], -np.inf)
+    adv_logp[:, 1:] = np.diagonal(log_trans, offset=1, axis1=1, axis2=2)
+    return stay_logp, adv_logp.reshape(-1)
+
+
+def _viterbi_forward(lattice: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
+    """Best-path scores (B,) over B left-to-right lattices at once, in place.
+
+    ``lattice`` is (K, B, S) and holds the emissions on entry; on return
+    ``lattice[t]`` holds the best score of a path that starts in state 0
+    and ends in each state at step ``t``.  ``log_trans`` is (B, S, S).
+    No choice is recorded: :func:`_viterbi_backtrace` re-derives each one
+    from the stored scores.  Requires K >= S.
     """
-    k, b, s = emissions.shape
-    delta = np.full((b, s), -np.inf)
-    delta[:, 0] = emissions[0, :, 0]
-    stayed = np.zeros((k, b, s), dtype=bool)
-    stay_logp = np.diagonal(log_trans, axis1=1, axis2=2)
-    adv_logp = np.diagonal(log_trans, offset=1, axis1=1, axis2=2)
-    adv = np.full((b, s), -np.inf)
-    for t in range(1, k):
-        stay = delta + stay_logp
-        adv[:, 1:] = delta[:, :-1] + adv_logp
-        stayed[t] = stay >= adv
-        delta = np.where(stayed[t], stay, adv) + emissions[t]
+    k, b, s = lattice.shape
+    lattice[0, :, 1:] = -np.inf
+    # Chains side by side, (K, B*S): cell ``c*S + j`` advances from cell
+    # ``c*S + j - 1``, so the advance scores of every chain are one shifted
+    # sum, and the -inf entry of each state 0 blocks a step between chains.
+    cells = lattice.reshape(k, b * s)
+    stay_logp, adv_logp = _chain_steps(log_trans)
+    best = np.empty(b * s)
+    adv = np.full(b * s, -np.inf)
+    for prev, cur in zip(cells[:-1], cells[1:]):
+        np.add(prev, stay_logp, out=best)
+        np.add(prev[:-1], adv_logp[1:], out=adv[1:])
+        np.maximum(best, adv, out=best)
+        cur += best
+    return lattice[-1, :, s - 1].copy()
+
+
+def _viterbi_backtrace(lattice: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
+    """Best paths (B, K) from the scores :func:`_viterbi_forward` stored.
+
+    The stay/advance choices are made again ``_BACKTRACE_STEPS`` steps at
+    a time, with the forward's own ``>=`` on the same float64 sums, so
+    ties still go to the self-loop.  A block of choices holds a few rows
+    of the lattice, not all of it.
+    """
+    k, b, s = lattice.shape
+    cells = lattice.reshape(k, b * s)
+    stay_logp, adv_logp = _chain_steps(log_trans)
     paths = np.empty((b, k), dtype=np.intp)
     paths[:, -1] = s - 1
-    chains = np.arange(b)
-    for t in range(k - 1, 0, -1):
-        paths[:, t - 1] = paths[:, t] - ~stayed[t, chains, paths[:, t]]
-    return delta[:, s - 1], paths
+    first = np.arange(b) * s
+    adv = np.full((min(_BACKTRACE_STEPS, k - 1), b * s), -np.inf)
+    for hi in range(k - 1, 0, -_BACKTRACE_STEPS):
+        lo = max(0, hi - _BACKTRACE_STEPS)
+        prev, advance = cells[lo:hi], adv[: hi - lo]
+        np.add(prev[:, :-1], adv_logp[1:], out=advance[:, 1:])
+        stayed = prev + stay_logp >= advance  # stayed[t - 1 - lo]: the step into t
+        for t in range(hi, lo, -1):
+            paths[:, t - 1] = paths[:, t] - ~stayed[t - 1 - lo, first + paths[:, t]]
+    return paths
+
+
+def _viterbi_core(emissions: np.ndarray, log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-path scores (B,) and paths (B, K) of the (K, B, S) ``emissions``
+    under the (B, S, S) ``log_trans``, run on a copy: the emissions are left
+    as they are.  Every path starts in state 0 and ends in state S-1."""
+    lattice = np.array(emissions, dtype=np.float64, order="C")
+    return _viterbi_forward(lattice, log_trans), _viterbi_backtrace(lattice, log_trans)
+
+
+def _chain_emissions(
+    params: MlpParams, priors: np.ndarray, transitions: np.ndarray, spliced: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled-likelihood emissions (K, B, S) of one spliced sequence under
+    every class chain, from one network pass, and the chains' log transitions."""
+    b, s, _ = transitions.shape
+    emissions = (mlp_log_posteriors(params, spliced) - np.log(priors)).reshape(-1, b, s)
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(transitions)
+    return emissions, log_trans
 
 
 def _chain_viterbi(
     params: MlpParams, priors: np.ndarray, transitions: np.ndarray, spliced: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-path scores (B,) and paths (B, K) of one spliced sequence under
-    every class chain, from one network pass and one lattice pass."""
-    b, s, _ = transitions.shape
-    emissions = (mlp_log_posteriors(params, spliced) - np.log(priors)).reshape(-1, b, s)
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(transitions)
-    return _viterbi_core(emissions, log_trans)
+    every class chain, from one network pass and one lattice pass, run in
+    place on the fresh emissions."""
+    lattice, log_trans = _chain_emissions(params, priors, transitions, spliced)
+    return _viterbi_forward(lattice, log_trans), _viterbi_backtrace(lattice, log_trans)
 
 
 def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrainingConfig()) -> TrainedHmmModel:
@@ -513,9 +568,8 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     )
 
 
-def _decode(model: TrainedHmmModel, features) -> tuple[np.ndarray, np.ndarray]:
-    """Best-path scores (B,) and paths (B, K) of ``features`` under every
-    class chain of ``model``."""
+def _spliced(model: TrainedHmmModel, features) -> np.ndarray:
+    """``features`` (dims x time), checked against ``model`` and spliced."""
     values = np.asarray(features, dtype=np.float64)
     if values.ndim != 2:
         raise DimensionError("features must be a 2-D array (dims x time)")
@@ -529,8 +583,7 @@ def _decode(model: TrainedHmmModel, features) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(
             f"{values.shape[0]} feature rows x context window {window} do not match layer 0's fan-in {fan_in}"
         )
-    spliced = splice_context(values, window)
-    return _chain_viterbi(model.params, model.priors, model.transitions, spliced)
+    return splice_context(values, window)
 
 
 def viterbi_decode(model: TrainedHmmModel, label: str, features) -> tuple[float, np.ndarray]:
@@ -542,7 +595,7 @@ def viterbi_decode(model: TrainedHmmModel, label: str, features) -> tuple[float,
     if label not in model.labels:
         raise DomainError(f"unknown class label {label!r}")
     c = model.labels.index(label)
-    scores, paths = _decode(model, features)
+    scores, paths = _chain_viterbi(model.params, model.priors, model.transitions, _spliced(model, features))
     return float(scores[c]), paths[c]
 
 
@@ -551,8 +604,10 @@ def classify(model: TrainedHmmModel, features) -> tuple[str, np.ndarray]:
 
     Returns the winning label plus the per-class log-likelihood vector
     (aligned with ``model.labels``); ties break toward the earlier class.
+    Only the scores are needed, so no path is traced back.
     """
-    scores, _ = _decode(model, features)
+    spliced = _spliced(model, features)
+    scores = _viterbi_forward(*_chain_emissions(model.params, model.priors, model.transitions, spliced))
     return model.labels[int(np.argmax(scores))], scores
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError, GenerationError
 from .frames import (
+    _BLOCK_FRAMES,
     DEFAULT_BIN_COUNT,
     DEFAULT_FRAME_RATE_HZ,
     DEFAULT_RANGE_M,
@@ -77,8 +78,6 @@ CLUTTER_PROFILE = _clutter_profile()
 _ECHO_REACH = math.ceil(
     math.sqrt(2.0 * PULSE_WIDTH_BINS**2 * math.log(ECHO_AMPLITUDE * 2.0**54 / CLUTTER_PROFILE.min()))
 )
-# Frames rendered at a time: a float64 block, stored as float32.
-_BLOCK_FRAMES = 1024
 
 
 @dataclass(frozen=True)

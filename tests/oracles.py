@@ -27,6 +27,17 @@ def naive_rms(f, window):
     return out
 
 
+def padded_rms(f, window):
+    """The envelope from one zero-padded float64 buffer of every squared
+    sample: position ``j`` sums the ``window`` buffer entries from ``j``,
+    a contiguous row with the zeros where its window leaves ``f``."""
+    half = window // 2
+    squares = np.zeros(len(f) + window - 1)
+    squares[half : half + len(f)] = np.square(np.asarray(f, dtype=np.float64))
+    rows = np.array([squares[j : j + window] for j in range(len(f))])
+    return np.sqrt(rows.sum(axis=1) / window)
+
+
 def naive_downsample(e, factor):
     return [float(e[factor * k - 1]) for k in range(1, len(e) // factor + 1)]
 
@@ -135,6 +146,28 @@ def brute_force_viterbi(emissions, log_trans):
     return best[0]
 
 
+def per_cell_viterbi(emissions, log_trans):
+    """Best score and path of one left-to-right chain, one cell at a time:
+    each cell keeps a back-pointer, and a tie between staying and
+    advancing goes to the self-loop."""
+    k, s = len(emissions), len(emissions[0])
+    score = [emissions[0][0]] + [-math.inf] * (s - 1)
+    stayed = []
+    for t in range(1, k):
+        new, choice = [], []
+        for j in range(s):
+            stay = score[j] + log_trans[j][j]
+            advance = score[j - 1] + log_trans[j - 1][j] if j else -math.inf
+            choice.append(stay >= advance)
+            new.append((stay if stay >= advance else advance) + emissions[t][j])
+        score = new
+        stayed.append(choice)
+    path = [s - 1]
+    for t in range(k - 1, 0, -1):
+        path.append(path[-1] - (not stayed[t - 1][path[-1]]))
+    return score[s - 1], path[::-1]
+
+
 def per_frame_chain_statistics(alignments, class_indices, b, s, floor):
     """Transition matrices and state priors counted one frame and one
     state at a time, with add-one smoothing on both allowed transitions."""
@@ -160,12 +193,19 @@ def per_frame_chain_statistics(alignments, class_indices, b, s, floor):
     return trans, priors / priors.sum()
 
 
-def scalar_loopback_reference(rows, alpha, c0):
-    """Plain per-bin Python loop over the clutter filter recurrence."""
+def scalar_loopback_reference(rows, alpha, c0, incremental=False):
+    """Plain per-bin Python loop over the clutter filter recurrence
+    ``alpha * c + (1 - alpha) * r``.  With ``incremental`` it is stated as
+    ``c + (r - c) * (1 - alpha)`` instead: equal in exact arithmetic, exact
+    at the fixed point ``c == r``, and the float64 operations the library
+    runs, so its results can be compared bit for bit."""
     c = [float(v) for v in c0]
     out = []
     for row in rows:
-        c = [alpha * cv + (1.0 - alpha) * float(rv) for cv, rv in zip(c, row)]
+        if incremental:
+            c = [cv + (float(rv) - cv) * (1.0 - alpha) for cv, rv in zip(c, row)]
+        else:
+            c = [alpha * cv + (1.0 - alpha) * float(rv) for cv, rv in zip(c, row)]
         out.append([float(rv) - cv for rv, cv in zip(row, c)])
     return out
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ferasec.clutter import reduce_frameset
+from ferasec.clutter import _BLOCK_FRAMES, reduce_frameset
 from ferasec.errors import DomainError
 from ferasec.frames import FrameSet
 from oracles import scalar_loopback_reference
@@ -96,3 +98,27 @@ class TestReduceFrameset:
             fc = reduce_frameset(combined, 0.95).astype(np.float64)
             scale = max(np.abs(fc).max(), 1e-9)
             assert np.abs(fc - (a * fx + b * fy)).max() <= 1e-6 * scale
+
+
+class TestLongFrameSets:
+    """Frames are widened to float64 one block at a time."""
+
+    def test_frames_past_one_block_match_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        m = 2500
+        assert m > 2 * _BLOCK_FRAMES
+        fs = FrameSet(rng.uniform(0, 100, (m, 8)))
+        reduced = reduce_frameset(fs, 0.95)
+        expected = scalar_loopback_reference(fs.data.tolist(), 0.95, fs.data[0], incremental=True)
+        assert reduced.tobytes() == np.array(expected, dtype=np.float32).tobytes()
+
+    def test_peak_is_the_result_plus_one_float64_block(self):
+        m, n = 2500, 256
+        fs = FrameSet(np.random.default_rng(8).uniform(0, 100, (m, n)))
+        tracemalloc.start()
+        try:
+            reduce_frameset(fs, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 4 + _BLOCK_FRAMES * n * 8 + 64 * 1024

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,13 @@ from ferasec.features import (
     store_features,
     vectorize,
 )
+from ferasec import features
+from ferasec.features import _kept_samples, _windowed_rms
 from ferasec.frames import FrameSet
 
 
 from byte_edits import EDITS, edited
-from oracles import naive_delta, naive_downsample, naive_remove_dc, naive_rms
+from oracles import naive_delta, naive_downsample, naive_remove_dc, naive_rms, padded_rms
 
 
 class TestVectorize:
@@ -113,6 +116,75 @@ class TestRmsEnvelope:
                     got = rms_envelope(f, window)
                     np.testing.assert_allclose(got, naive_rms(f, window), rtol=1e-12, atol=1e-14)
                     assert np.all(got == got[0])
+
+
+class TestKeptWindows:
+    """``extract_features`` squares only the samples of the windows that
+    downsampling keeps; each kept value equals the full envelope's, bit
+    for bit, and the full envelope equals the one summed from a single
+    zero-padded buffer of every squared sample."""
+
+    CASES = (
+        (192, 8, 64),  # interior windows, and one past the last sample (192 = 3 * 64)
+        (203, 8, 64),  # interior windows only
+        (200, 64, 8),  # W > D: the first kept windows start before the first sample, the last end past the last
+        (61, 100, 3),  # W > len(f): most windows run past both ends
+        (50, 100, 7),  # W == 2 * len(f): the constant branch
+        (50, 400, 1),  # W > 2 * len(f)
+        (5000, 400, 1),  # 5000 windows of 400 squares, each square in up to 400 of them
+        (240 * 256, 400, 1024),  # a synthetic item under the default recipe
+    )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length, window, factor", CASES)
+    def test_kept_windows_equal_the_full_envelope(self, length, window, factor, dtype):
+        f = np.random.default_rng(length + window).uniform(0.0, 100.0, length).astype(dtype)
+        kept = _kept_samples(length, factor)
+        got = _windowed_rms(f, window, kept)
+        full = rms_envelope(f, window)
+        assert got.dtype == np.float64 and got.tobytes() == full[kept].tobytes()
+        if window < 2 * length:
+            assert full.tobytes() == padded_rms(f, window).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length, window, factor", CASES)
+    def test_small_blocks_of_squares_give_the_same_bits(self, length, window, factor, dtype, monkeypatch):
+        """Squares held 500 at a time (or one window's worth): the windows
+        split across many blocks, and no sum moves by a bit."""
+        f = np.random.default_rng(length + window).uniform(0.0, 100.0, length).astype(dtype)
+        kept = _kept_samples(length, factor)
+        whole = _windowed_rms(f, window, kept)
+        monkeypatch.setattr(features, "_SQUARES_BYTES", 8 * 500)
+        assert _windowed_rms(f, window, kept).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("factor", [1, 1024])
+    def test_squares_are_held_one_block_at_a_time(self, factor):
+        """400,000 samples: the squares of every sample (3.2 MB, step 1) or of
+        the 390 kept windows (1.25 MB, step 1024) pass through one block of
+        at most 1 MiB, beside the float64 result and the buffer numpy
+        widens float32 samples through."""
+        f = np.random.default_rng(27).uniform(0.0, 100.0, 400_000).astype(np.float32)
+        kept = _kept_samples(f.size, factor)
+        tracemalloc.start()
+        try:
+            env = _windowed_rms(f, 400, kept)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 20) + env.nbytes + 128 * 1024
+
+    def test_strided_input_equals_its_contiguous_copy(self):
+        f = np.random.default_rng(28).uniform(0.0, 100.0, 301)[::3]
+        assert rms_envelope(f, 8).tobytes() == rms_envelope(f.copy(), 8).tobytes()
+
+    def test_random_lengths_windows_and_factors(self):
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            length = int(rng.integers(1, 120))
+            window, factor = 2 * int(rng.integers(1, 80)), int(rng.integers(1, length + 1))
+            f = rng.uniform(0.0, 100.0, length).astype(rng.choice([np.float32, np.float64]))
+            kept = _kept_samples(length, factor)
+            assert _windowed_rms(f, window, kept).tobytes() == rms_envelope(f, window)[kept].tobytes()
 
 
 class TestDownsample:

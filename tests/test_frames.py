@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ferasec import frames
 from ferasec.errors import (
+    ByteReader,
     DegenerateInputError,
     DimensionError,
     DomainError,
@@ -189,6 +191,46 @@ class TestPersistence:
         store_frameset(fs, path)
         assert load_frameset(path).label is None
         assert load_frameset(path, label="ba") == fs
+
+
+class TestFrameSetOwnership:
+    """A frame set holds amplitudes that nothing can change: it adopts a
+    read-only view of immutable bytes and copies anything else."""
+
+    def test_loaded_frame_set_shares_the_readers_bytes(self, tmp_path, monkeypatch):
+        readers = []
+
+        class RecordingReader(ByteReader):
+            def __init__(self, path):
+                super().__init__(path)
+                readers.append(self)
+
+        store_frameset(random_raw_frameset(np.random.default_rng(2), m=12, n=16), tmp_path / "a.frs")
+        monkeypatch.setattr(frames, "ByteReader", RecordingReader)
+        fs = load_frameset(tmp_path / "a.frs")
+        (reader,) = readers
+        assert type(reader.blob) is bytes
+        assert np.shares_memory(fs.data, np.frombuffer(reader.blob, dtype=np.uint8))
+        assert not fs.data.flags.writeable
+        with pytest.raises(ValueError):
+            fs.data.setflags(write=True)
+        with pytest.raises(ValueError):
+            fs.data[0, 0] = 1.0
+
+    def test_frame_set_from_a_writable_array_copies_it(self):
+        source = np.random.default_rng(3).uniform(0.0, 100.0, (4, 6)).astype(np.float32)
+        read_only_view = source.view()
+        read_only_view.setflags(write=False)
+        mutable_bytes = bytearray(source.tobytes())
+        over_bytearray = np.frombuffer(mutable_bytes, dtype=np.float32).reshape(4, 6)
+        over_bytearray.setflags(write=False)
+        for data in (source, read_only_view, over_bytearray, source.astype(np.float64)):
+            fs = FrameSet(data)
+            before = fs.data.copy()
+            assert not np.shares_memory(fs.data, source) and not np.shares_memory(fs.data, over_bytearray)
+            source[0, 0] = 50.0 - source[0, 0]
+            mutable_bytes[:4] = np.float32(7.0).tobytes()
+            assert np.array_equal(fs.data, before)
 
 
 class TestPearsonCorrelation:

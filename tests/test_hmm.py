@@ -62,7 +62,7 @@ def toy_corpus(rng, examples_per_class=3, k_range=(8, 14)):
 
 
 from byte_edits import EDITS, edited
-from oracles import brute_force_viterbi, per_frame_chain_statistics, random_left_to_right
+from oracles import brute_force_viterbi, per_cell_viterbi, per_frame_chain_statistics, random_left_to_right
 
 
 class TestSpliceContext:
@@ -297,6 +297,27 @@ class TestViterbiCore:
                 steps = np.diff(paths[c])
                 assert np.all((steps == 0) | (steps == 1))
 
+    def test_lattices_longer_than_a_backtrace_block(self):
+        """The backtrace makes its choices again a block of steps at a time;
+        paths across block edges match per-cell back-pointers, ties included."""
+        rng = np.random.default_rng(9)
+        for k in (hmm._BACKTRACE_STEPS, hmm._BACKTRACE_STEPS + 1, 2 * hmm._BACKTRACE_STEPS + 1, 50, 81):
+            s, b = int(rng.integers(2, 6)), 3
+            emis = rng.integers(-2, 3, size=(k, b, s)) * 0.5
+            trans = np.zeros((b, s, s))
+            for c in range(b):
+                for i in range(s - 1):
+                    trans[c, i, i] = rng.choice([0.0, 0.5, 0.5, 1.0, rng.uniform(0.2, 0.8)])
+                    trans[c, i, i + 1] = 1.0 - trans[c, i, i]
+                trans[c, s - 1, s - 1] = 1.0
+            with np.errstate(divide="ignore"):
+                log_trans = np.log(trans)
+            scores, paths = _viterbi_core(emis, log_trans)
+            for c in range(b):
+                expected, expected_path = per_cell_viterbi(emis[:, c].tolist(), log_trans[c].tolist())
+                assert scores[c] == expected
+                assert paths[c].tolist() == expected_path
+
     def test_hand_built_two_state_lattice(self):
         emis = np.array([[0.5, -1.0], [0.2, 0.3], [-0.4, 0.9]])
         trans = np.array([[0.6, 0.4], [0.0, 1.0]])
@@ -308,6 +329,66 @@ class TestViterbiCore:
         p2 = emis[0, 0] + log_trans[0, 1] + emis[1, 1] + log_trans[1, 1] + emis[2, 1]
         assert ll == pytest.approx(max(p1, p2), rel=1e-15)
         assert path.tolist() == ([0, 0, 1] if p1 >= p2 else [0, 1, 1])
+
+
+def random_chain_model(rng, b, s, window, dims, tied):
+    """A model with random left-to-right chains whose allowed transitions
+    include 0 (a -inf step) and 1/2 (equal stay and advance steps).  With
+    ``tied`` the network's output layer is zero and the priors uniform, so
+    every emission is the same constant and stay/advance scores tie exactly."""
+    trans = np.zeros((b, s, s))
+    for c in range(b):
+        for i in range(s - 1):
+            p = 0.5 if tied and rng.uniform() < 0.8 else float(rng.choice([0.0, 0.5, 1.0, rng.uniform(0.2, 0.8)]))
+            trans[c, i, i], trans[c, i, i + 1] = p, 1.0 - p
+        trans[c, s - 1, s - 1] = 1.0
+    priors = np.full(b * s, 1.0 / (b * s)) if tied else rng.dirichlet(np.ones(b * s))
+    (w0, b0), (w1, b1) = mlp_init((dims * window, 4, b * s), rng)
+    if tied:
+        w1 = np.zeros_like(w1)
+    cfg = HmmTrainingConfig(states_per_class=s, context_window=window, hidden=(4,))
+    return TrainedHmmModel(tuple(f"c{i}" for i in range(b)), trans, priors, (w0, w1), (b0, b1), cfg)
+
+
+class TestForwardOnlyScores:
+    """``classify`` runs the Viterbi forward alone; ``viterbi_decode`` adds the
+    backtrace.  Both give every chain the same score, bit for bit."""
+
+    def test_classify_scores_equal_decode_and_brute_force(self):
+        rng = np.random.default_rng(23)
+        ties = 0
+        for trial in range(60):
+            b, s = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            window, dims = int(rng.choice([1, 3])), int(rng.integers(1, 4))
+            model = random_chain_model(rng, b, s, window, dims, tied=trial % 2 == 0)
+            feats = rng.normal(size=(dims, int(rng.integers(s, 10))))
+            emissions = (mlp_log_posteriors(model.params, splice_context(feats, window))
+                         - np.log(model.priors)).reshape(-1, b, s)
+            with np.errstate(divide="ignore"):
+                log_trans = np.log(model.transitions)
+            label, scores = classify(model, feats)
+            assert scores.shape == (b,) and label == model.labels[int(np.argmax(scores))]
+            for c, name in enumerate(model.labels):
+                score, path = viterbi_decode(model, name, feats)
+                expected, expected_path = per_cell_viterbi(emissions[:, c].tolist(), log_trans[c].tolist())
+                assert scores[c] == score == expected
+                assert scores[c] == brute_force_viterbi(emissions[:, c].tolist(), log_trans[c].tolist())
+                assert np.float64(score).tobytes() == scores[c].tobytes() == np.float64(expected).tobytes()
+                assert path.tolist() == expected_path
+            stay = np.diagonal(log_trans, axis1=1, axis2=2)[:, :-1]
+            ties += np.any(stay == np.diagonal(log_trans, offset=1, axis1=1, axis2=2))
+        assert ties > 20  # the lattices do exercise the tie rule
+
+    def test_classify_traces_no_path(self, model, monkeypatch):
+        def no_backtrace(*args):
+            raise AssertionError("classify traced a path back")
+
+        feats = np.random.default_rng(24).normal(size=(6, 17))
+        scores = classify(model, feats)[1]
+        monkeypatch.setattr(hmm, "_viterbi_backtrace", no_backtrace)
+        assert np.array_equal(classify(model, feats)[1], scores)
+        with pytest.raises(AssertionError, match="traced a path"):
+            viterbi_decode(model, "flat", feats)
 
 
 class TestChainStatistics:
