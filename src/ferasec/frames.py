@@ -157,10 +157,17 @@ def load_frameset(path: str | Path, label: str | None = None) -> FrameSet:
         raise FormatError(f"kind byte must be 0 (raw capture), got {header['kind']}", offset=at["kind"])
     if header["reserved"] != b"\x00\x00\x00":
         raise FormatError("reserved bytes must be zero", offset=at["reserved"])
-    data = reader.floats(m * n, lambda v: (v >= 0.0) & (v <= 100.0),  # NaN fails both comparisons
-                         "amplitude {i} must be finite and lie in [0, 100], got {value}")
+    start = reader.pos
+    data = reader.floats(m * n)
+    try:
+        fs = FrameSet(data.reshape(m, n), rate, range_m, label)  # checks the amplitudes' range once
+    except DomainError:  # the header fields passed above, so an amplitude failed
+        good = (data >= 0.0) & (data <= 100.0)  # NaN fails both comparisons
+        i = int(np.argmin(good))
+        raise FormatError(f"amplitude {i} must be finite and lie in [0, 100], got {data[i]}",
+                          offset=start + 4 * i) from None
     reader.end()
-    return FrameSet(data.reshape(m, n), rate, range_m, label)
+    return fs
 
 
 def pearson_correlation(p: Sequence[float] | np.ndarray, q: Sequence[float] | np.ndarray) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .clutter import reduce_frameset
 from .dtw import DtwConfig, mddtw_distances
-from .errors import DomainError, TrainingError, breaks_line
+from .errors import DimensionError, DomainError, TrainingError, breaks_line
 from .features import FerasecConfig, extract_features
 from .frames import CorpusManifest, ManifestEntry, load_frameset
 from .hmm import HmmTrainingConfig, classify, train
@@ -223,8 +223,19 @@ def _hmm_predictions(
     jobs: Sequence[tuple[list[int], int]],
 ) -> list[str]:
     """Train one model per job on every item it does not hold out (in
-    the order of ``entries``), then label the held-out items with it."""
+    the order of ``entries``), then label the held-out items with it.
 
+    The items' columns are stacked once, (rows, dims) in their dtype and
+    read-only, and ``features`` is emptied, so the stack alone holds
+    them; every fold trains on, and classifies from, views of it.
+    """
+    if len({f.shape[0] for f in features}) != 1:
+        raise DimensionError("all feature matrices must be 2-D with one shared row count")
+    stack = np.vstack([f.T for f in features])
+    stack.setflags(write=False)
+    bounds = np.cumsum([0] + [f.shape[1] for f in features])
+    features.clear()
+    items = [stack[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
     predicted = [""] * len(entries)
 
     def run(job: tuple[list[int], int]) -> None:
@@ -236,11 +247,9 @@ def _hmm_predictions(
         )
         if leaked:
             raise AssertionError(f"held-out items leaked into training: {sorted(leaked)}")
-        model = train(
-            [(features[j], entries[j].label) for j in train_idx], replace(hmm_cfg, seed=fold_seed)
-        )
+        model = train([(items[j], entries[j].label) for j in train_idx], replace(hmm_cfg, seed=fold_seed))
         for j in held_out:
-            predicted[j] = classify(model, features[j])[0]
+            predicted[j] = classify(model, items[j])[0]
 
     _map_folds(run, jobs)
     return predicted

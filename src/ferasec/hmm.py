@@ -229,6 +229,35 @@ def _gather_spliced(cols: np.ndarray, index: np.ndarray) -> np.ndarray:
     return cols[index].reshape(index.shape[0], index.shape[1] * cols.shape[1])
 
 
+def _column_ranges(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, list[slice]] | None:
+    """The array ``cols`` and the row slices ``sl`` with ``matrices[i] ==
+    cols[sl[i]].T`` when every matrix is a column range of one contiguous
+    float32 or float64 ``(rows, dims)`` array, as ``loocv``'s stack is;
+    otherwise None.  Ranges may come in any order and leave rows out.
+
+    ``cols`` keeps the memory order that stacking the matrices would give
+    (C for the transposes of frame sets, F for those of feature
+    matrices), so the per-dimension sums run in the same order and the
+    model does not depend on whether the inputs were shared.
+    """
+    cols = matrices[0]
+    while isinstance(cols.base, np.ndarray):
+        cols = cols.base
+    contiguous = cols.flags.c_contiguous or cols.flags.f_contiguous
+    if cols.ndim != 2 or not contiguous or cols.dtype not in (np.float32, np.float64):
+        return None
+    row_step = cols.strides[0]
+    slices = []
+    for m in matrices:
+        if m.dtype != cols.dtype or m.shape[0] != cols.shape[1] or m.strides != cols.strides[::-1]:
+            return None
+        lo, misaligned = divmod(m.ctypes.data - cols.ctypes.data, row_step)
+        if misaligned or not 0 <= lo <= cols.shape[0] - m.shape[1]:
+            return None
+        slices.append(slice(lo, lo + m.shape[1]))
+    return cols, slices
+
+
 def flat_start_align(length: int, states: int) -> np.ndarray:
     """Uniform initial segmentation: 0-based state ``ceil((k+1)*S/K) - 1``
     at 0-based index ``k``.  Non-decreasing and occupies every state."""
@@ -451,7 +480,10 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     ``(dims, K)`` with a shared ``dims`` and ``K >= states_per_class``.
     Float32 matrices (raw frames) are kept as float32 and widened to
     float64 only where they are standardized; every computed value is
-    float64, so the model does not depend on the input dtype.
+    float64, so the model does not depend on the input dtype.  Matrices
+    that are column ranges of one array, as ``loocv`` passes them, are
+    read where they lie; any others are stacked once into a copy.  Either
+    way the model is the same.
     Training keeps one alignment, the (class, state) target of every
     training column, set by a flat start.  Each round trains the network
     on it and counts transitions and priors from it, then realigns every
@@ -482,23 +514,27 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     b = len(labels)
     class_indices = [labels.index(label) for label in labels_per_item]
 
-    # The spliced design matrix is never built.  Training keeps the
-    # columns of every sequence stacked once, (rows, dims) in the inputs'
-    # dtype, plus the (rows, window) column indices of each spliced row,
-    # and gathers spliced rows on demand: a mini-batch, or one sequence
-    # at a time, standardized into one float64 buffer.
+    # The spliced design matrix is never built.  Training reads the
+    # columns of every sequence from one (rows, dims) array in the inputs'
+    # dtype, through the (n_total, window) column indices of each spliced
+    # row, and gathers spliced rows on demand: a mini-batch, or one
+    # sequence at a time, standardized into one float64 buffer.  Training
+    # row ``i`` is the ``i``-th column of the sequences in corpus order;
+    # ``seq_slices`` holds each sequence's training rows, ``col_slices``
+    # its rows of ``cols``.
     window = cfg.context_window
-    cols = np.vstack([m.T for m in matrices])
-    ends = np.cumsum([m.shape[1] for m in matrices])
-    seq_slices = [slice(end - m.shape[1], end) for m, end in zip(matrices, ends)]
-    context = np.vstack([_context_index(sl.stop - sl.start, window) + sl.start for sl in seq_slices])
+    lengths = [m.shape[1] for m in matrices]
+    ends = np.cumsum(lengths)
+    seq_slices = [slice(end - k, end) for k, end in zip(lengths, ends)]
+    cols, col_slices = _column_ranges(matrices) or (np.vstack([m.T for m in matrices]), seq_slices)
+    context = np.vstack([_context_index(k, window) + sl.start for k, sl in zip(lengths, col_slices)])
     n_total = int(ends[-1])
 
     # Standardize each input dimension over every training column, summed
     # in float64 one sequence at a time; the statistics are tiled over the
     # window to line up with the spliced columns.
-    mean = sum(cols[sl].astype(np.float64).sum(axis=0) for sl in seq_slices) / n_total
-    std = np.sqrt(sum(np.square(cols[sl] - mean).sum(axis=0) for sl in seq_slices) / n_total)
+    mean = sum(cols[sl].astype(np.float64).sum(axis=0) for sl in col_slices) / n_total
+    std = np.sqrt(sum(np.square(cols[sl] - mean).sum(axis=0) for sl in col_slices) / n_total)
     std[std < 1e-8] = 1.0
     mean, std = np.tile(mean, window), np.tile(std, window)
     longest = max(m.shape[1] for m in matrices)

@@ -2,7 +2,8 @@
 
 Deliberately naive: windows recomputed from scratch, paths enumerated
 exhaustively, gradients taken by finite differences.  None of this code
-shares logic with the library beyond consuming the same inputs.
+shares logic with the library beyond consuming the same inputs, except
+where a function's docstring names what it shares.
 """
 
 import math
@@ -11,6 +12,15 @@ import numpy as np
 
 from ferasec.errors import GenerationError
 from ferasec.frames import DEFAULT_BIN_COUNT, DEFAULT_FRAME_RATE_HZ, DEFAULT_RANGE_M, FrameSet
+from ferasec.hmm import (
+    PRIOR_FLOOR,
+    TrainedHmmModel,
+    flat_start_align,
+    mlp_backprop,
+    mlp_init,
+    mlp_log_posteriors,
+    splice_context,
+)
 from ferasec.synth import CLUTTER_PROFILE, ECHO_AMPLITUDE, PULSE_WIDTH_BINS
 
 
@@ -191,6 +201,74 @@ def per_frame_chain_statistics(alignments, class_indices, b, s, floor):
         trans[c, s - 1, s - 1] = 1.0
     priors = np.maximum(counts / counts.sum(), floor)
     return trans, priors / priors.sum()
+
+
+def reference_train(corpus, cfg):
+    """``hmm.train`` stated plainly: the whole spliced design matrix,
+    standardized in one expression; fresh parameters after every
+    mini-batch; the learning rate halved on a plateau; a per-class,
+    per-cell Viterbi realignment; chain statistics counted frame by frame;
+    and the standardization folded into layer 0.
+
+    It shares the network primitives, ``splice_context`` and
+    ``flat_start_align`` with the library, which have tests of their own.
+    The standardization statistics are summed one sequence at a time,
+    each over its matrix's transpose in that matrix's own memory order,
+    the order in which the library's stack holds the columns of matrices
+    that all share one layout.
+    """
+    matrices = [np.asarray(m) for m, _ in corpus]
+    names = [label for _, label in corpus]
+    labels = tuple(sorted(set(names)))
+    classes = [labels.index(label) for label in names]
+    b, s, window = len(labels), cfg.states_per_class, cfg.context_window
+    n = sum(m.shape[1] for m in matrices)
+
+    mean = sum(m.T.astype(np.float64).sum(axis=0) for m in matrices) / n
+    std = np.sqrt(sum(np.square(m.T - mean).sum(axis=0) for m in matrices) / n)
+    std[std < 1e-8] = 1.0
+    mean, std = np.tile(mean, window), np.tile(std, window)
+    x = (np.vstack([splice_context(m, window) for m in matrices]) - mean) / std
+
+    bounds = np.cumsum([0] + [m.shape[1] for m in matrices])
+    sequences = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    targets = np.concatenate([c * s + flat_start_align(m.shape[1], s) for c, m in zip(classes, matrices)])
+    rng = np.random.default_rng(cfg.seed)
+    params = mlp_init((x.shape[1], *cfg.hidden, b * s), rng)
+    for rnd in range(cfg.realignment_rounds):
+        lr, best = cfg.learning_rate, math.inf
+        for _ in range(cfg.epochs_per_round):
+            order = rng.permutation(n)
+            total = 0.0
+            for lo in range(0, n, cfg.batch_size):
+                batch = order[lo : lo + cfg.batch_size]
+                loss, grads = mlp_backprop(params, x[batch], targets[batch])
+                params = tuple((w - gw * lr, v - gb * lr) for (w, v), (gw, gb) in zip(params, grads))
+                total += loss * batch.size
+            total /= n
+            if total >= best:
+                lr *= 0.5
+            else:
+                best = total
+        alignments = [targets[sl] - c * s for c, sl in zip(classes, sequences)]
+        trans, priors = per_frame_chain_statistics(alignments, classes, b, s, PRIOR_FLOOR)
+        if rnd < cfg.realignment_rounds - 1:
+            with np.errstate(divide="ignore"):
+                log_trans = np.log(trans)
+            for c, sl in zip(classes, sequences):
+                emissions = (mlp_log_posteriors(params, x[sl]) - np.log(priors)).reshape(-1, b, s)[:, c]
+                path = per_cell_viterbi(emissions.tolist(), log_trans[c].tolist())[1]
+                targets[sl] = c * s + np.array(path)
+
+    (w0, v0), *rest = params
+    return TrainedHmmModel(
+        labels=labels,
+        transitions=trans,
+        priors=priors,
+        weights=(w0 / std[:, None], *(w for w, _ in rest)),
+        biases=(v0 - (mean / std) @ w0, *(v for _, v in rest)),
+        config=cfg,
+    )
 
 
 def scalar_loopback_reference(rows, alpha, c0, incremental=False):

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from ferasec import harness
 from ferasec.dtw import DtwConfig
-from ferasec.errors import DomainError
-from ferasec.frames import CorpusManifest, load_manifest
+from ferasec.errors import DimensionError, DomainError
+from ferasec.frames import CorpusManifest, FrameSet, ManifestEntry, load_manifest, store_frameset
 from ferasec.harness import (
     EvaluationReport,
     FoldRecord,
@@ -189,12 +192,65 @@ class TestHmmLoocv:
                 loocv(unequal, method, seed=0)
         assert calls == []
 
-    def test_threads_env_does_not_change_results(self, tiny_corpus, monkeypatch):
+    @pytest.mark.parametrize("method", ["hmm", "hmm-raw"])
+    def test_threads_env_does_not_change_results(self, tiny_corpus, monkeypatch, method):
+        """Concurrent folds read one read-only stack of every item's
+        columns (float64 features, float32 frames) and report the bytes
+        of folds run one at a time."""
         kwargs = dict(seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)
-        base = loocv(tiny_corpus, "hmm", **kwargs)
+        base = loocv(tiny_corpus, method, **kwargs)
+        stacks, train = [], harness.train
+
+        def spy(corpus, cfg):
+            for m, _ in corpus:
+                root = m
+                while isinstance(root.base, np.ndarray):
+                    root = root.base
+                stacks.append(root)
+            return train(corpus, cfg)
+
+        monkeypatch.setattr(harness, "train", spy)
         monkeypatch.setenv("FERASEC_THREADS", "3")
-        threaded = loocv(tiny_corpus, "hmm", **kwargs)
+        threaded = loocv(tiny_corpus, method, **kwargs)
         assert report_to_text(threaded) == report_to_text(base)
+        assert len({id(stack) for stack in stacks}) == 1
+        assert not stacks[0].flags.writeable
+        items = harness.item_features(tiny_corpus, method, SMALL_FERASEC)
+        assert stacks[0].shape == (sum(m.shape[1] for m in items), items[0].shape[0])
+        assert stacks[0].dtype == items[0].dtype
+
+    @pytest.mark.parametrize("method", ["hmm", "hmm-raw"])
+    def test_folds_train_on_the_stack_alone(self, tiny_corpus, monkeypatch, method):
+        """Once the stack is built, nothing keeps the per-item arrays alive,
+        and each fold trains, on views of the stack, the model that the
+        separate per-item arrays give, bit for bit."""
+        items = harness.item_features(tiny_corpus, method, SMALL_FERASEC)
+        refs, alive, folds = [], [], []
+        item_features, train = harness.item_features, harness.train
+
+        def tracked(*args):
+            out = item_features(*args)
+            refs.extend(weakref.ref(x) for x in out)
+            return out
+
+        def spy(corpus, cfg):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            model = train(corpus, cfg)
+            folds.append((corpus, cfg, model))
+            return model
+
+        monkeypatch.setattr(harness, "item_features", tracked)
+        monkeypatch.setattr(harness, "train", spy)
+        loocv(tiny_corpus, method, seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)
+        assert refs and alive == [0] * 4
+        for corpus, cfg, model in folds:
+            separate = [(next(x for x in items if x.shape == m.shape and np.array_equal(x, m)), label)
+                        for m, label in corpus]
+            expected = train(separate, cfg)
+            for a, b in zip((model.transitions, model.priors, *model.weights, *model.biases),
+                            (expected.transitions, expected.priors, *expected.weights, *expected.biases)):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_threads_env_must_be_a_positive_integer(self, tiny_corpus, monkeypatch, value):
@@ -219,6 +275,17 @@ class TestBaselines:
         # inputs' memory and change no result (train computes in float64).
         inputs = harness.item_features(tiny_corpus, method, SMALL_FERASEC)
         assert {x.dtype for x in inputs} == {np.dtype(np.float32)}
+
+    def test_frame_sets_of_different_bin_counts_rejected(self, tmp_path):
+        # The columns of every item are stacked once, so a corpus whose
+        # frame sets differ in bin count fails before any fold trains.
+        rng = np.random.default_rng(3)
+        entries = []
+        for i, (label, rep, bins) in enumerate([("a", 1, 8), ("a", 2, 8), ("b", 1, 8), ("b", 2, 9)]):
+            store_frameset(FrameSet(rng.uniform(0, 100, (12, bins))), tmp_path / f"{i}.frs")
+            entries.append(ManifestEntry(f"{i}.frs", label, rep, "upper", 0))
+        with pytest.raises(DimensionError, match="one shared row count"):
+            loocv(CorpusManifest(entries, tmp_path), "hmm-raw", seed=0, hmm_cfg=SMALL_HMM)
 
     def test_unknown_variant(self, tiny_corpus):
         for method in ("spicy", "hmm-cr"):  # the short alias is gone too

@@ -36,7 +36,7 @@ from ferasec.hmm import (
     train,
     viterbi_decode,
 )
-from ferasec.synth import generate_corpus, vowel8_preset
+from ferasec.synth import GestureBump, GestureScript, Reflector, SimConfig, generate_corpus, vowel8_preset
 
 TOY_CFG = HmmTrainingConfig(
     hidden=(16,),
@@ -62,7 +62,13 @@ def toy_corpus(rng, examples_per_class=3, k_range=(8, 14)):
 
 
 from byte_edits import EDITS, edited
-from oracles import brute_force_viterbi, per_cell_viterbi, per_frame_chain_statistics, random_left_to_right
+from oracles import (
+    brute_force_viterbi,
+    per_cell_viterbi,
+    per_frame_chain_statistics,
+    random_left_to_right,
+    reference_train,
+)
 
 
 class TestSpliceContext:
@@ -570,6 +576,104 @@ class TestTraining:
         assert model2.labels == ("flat", "ramp")
 
 
+def stack_views(matrices):
+    """The matrices' columns stacked once, read-only, as ``loocv`` stacks
+    them, and each matrix as a view of its rows."""
+    stack = np.vstack([m.T for m in matrices])
+    stack.setflags(write=False)
+    bounds = np.cumsum([0] + [m.shape[1] for m in matrices])
+    return stack, [stack[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def assert_same_model(a, b):
+    assert a.labels == b.labels and len(a.weights) == len(b.weights)
+    for x, y in zip((a.transitions, a.priors, *a.weights, *a.biases),
+                    (b.transitions, b.priors, *b.weights, *b.biases)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.fixture(scope="module")
+def short_items(tmp_path_factory):
+    """Per-method inputs and labels of a 3-class x 3-rep corpus of short
+    items: float64 features (``hmm``), float32 raw and clutter-reduced frames."""
+    scripts = [
+        GestureScript("aa", (Reflector(0.30, (GestureBump(0.12, 0.05, 0.10),), 0.9),), 0.45),
+        GestureScript("bb", (Reflector(0.30, (GestureBump(0.30, 0.05, -0.10),), 0.9),), 0.45),
+        GestureScript("cc", (Reflector(0.55, (GestureBump(0.20, 0.08, -0.15),), 0.9),), 0.45),
+    ]
+    sim = SimConfig(noise_sigma=0.8, onset_jitter_s=0.03, duration_jitter_fraction=0.05)
+    manifest = generate_corpus(scripts, 3, sim, 42, tmp_path_factory.mktemp("short"))
+    labels = [e.label for e in manifest.entries]
+    return {method: (item_features(manifest, method, FerasecConfig()), labels)
+            for method in ("hmm", "hmm-raw", "hmm-clutterreduced")}
+
+
+# Three rounds of two epochs; 23 rows per batch leave a partial batch on
+# every corpus below.
+SHORT_CFG = HmmTrainingConfig(hidden=(16,), realignment_rounds=3, epochs_per_round=2, batch_size=23, seed=5)
+
+
+class TestSharedStack:
+    """``train`` reads the columns of matrices that are column ranges of one
+    array (``loocv``'s stack) where they lie, and stacks any other corpus;
+    the model is the same bit for bit."""
+
+    @pytest.mark.parametrize("method, dtype", [("hmm", np.float64), ("hmm-raw", np.float32)])
+    def test_views_of_one_stack_train_the_model_of_separate_arrays(self, short_items, method, dtype):
+        items, labels = short_items[method]
+        _, views = stack_views(items)
+        keep = [j for j in range(len(items)) if j != 4]  # a held-out item's rows lie between them
+        assert items[0].dtype == dtype
+        assert sum(items[j].shape[1] for j in keep) % SHORT_CFG.batch_size
+        shared = [(views[j], labels[j]) for j in keep]
+        assert hmm._column_ranges([m for m, _ in shared]) is not None
+        assert hmm._column_ranges([items[j] for j in keep]) is None
+        assert_same_model(train(shared, SHORT_CFG), train([(items[j], labels[j]) for j in keep], SHORT_CFG))
+
+    @pytest.mark.parametrize("method", ["hmm", "hmm-raw"])
+    @pytest.mark.parametrize("case", ["copied matrix", "two bases", "non-contiguous base"])
+    def test_corpora_that_do_not_tile_one_array_are_stacked(self, short_items, method, case):
+        items, labels = short_items[method]
+        stack, views = stack_views(items)
+        if case == "copied matrix":
+            matrices = views[:2] + [np.array(views[2])] + views[3:]
+        elif case == "two bases":
+            matrices = stack_views(items[:4])[1] + stack_views(items[4:])[1]
+        else:
+            # The stack in every other column of a wider array of its memory
+            # order, viewed as an array of its own: a root array that is
+            # neither C- nor F-contiguous.
+            order = "F" if stack.flags.f_contiguous else "C"
+            wide = np.zeros((stack.shape[0], 2 * stack.shape[1]), stack.dtype, order=order)
+            wide[:, ::2] = stack
+            root = np.lib.stride_tricks.as_strided(wide[:, ::2])
+            assert not isinstance(root.base, np.ndarray)
+            assert not (root.flags.c_contiguous or root.flags.f_contiguous)
+            bounds = np.cumsum([0] + [m.shape[1] for m in items])
+            matrices = [root[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert hmm._column_ranges(matrices) is None
+        assert_same_model(train(list(zip(matrices, labels)), SHORT_CFG), train(list(zip(items, labels)), SHORT_CFG))
+
+
+class TestReferenceTrainer:
+    """``train`` equals ``oracles.reference_train``, its plain statement,
+    bit for bit, on separate arrays and on views of one stack."""
+
+    # Learning rates at which the loss plateaus within a round on the
+    # features and the raw frames of ``short_items``, so that the halving
+    # rule changes the later epochs.
+    @pytest.mark.parametrize("method, learning_rate",
+                             [("hmm", 1.0), ("hmm-raw", 0.3), ("hmm-clutterreduced", 0.3)])
+    @pytest.mark.parametrize("shared", [False, True], ids=["separate", "stack-views"])
+    def test_train_equals_the_reference_trainer(self, short_items, method, learning_rate, shared):
+        items, labels = short_items[method]
+        inputs = stack_views(items)[1] if shared else items
+        cfg = replace(SHORT_CFG, epochs_per_round=3, learning_rate=learning_rate)
+        assert sum(m.shape[1] for m in inputs) % cfg.batch_size
+        corpus = list(zip(inputs, labels))
+        assert_same_model(train(corpus, cfg), reference_train(corpus, cfg))
+
+
 class TestTrainingMemory:
     def test_peak_stays_below_one_spliced_design_matrix(self):
         """Training on a raw-frame-shaped corpus gathers spliced rows on
@@ -587,32 +691,52 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert peak < design_bytes
 
-    def test_raw_frame_peak_stays_within_the_documented_bound(self, tmp_path):
-        """The README's bound on one training fold: float32 inputs and
-        their spliced-row indices, the alignment targets, the network plus
-        one gradient set, and two float64 blocks of max(batch, longest
-        sequence) spliced rows (the standardized buffer and the working
-        space of one pass)."""
+    @pytest.fixture(scope="class")
+    def raw_frames(self, tmp_path_factory):
+        """Raw frames and labels of a vowel8 ``medium`` corpus, 4 reps: 32 items."""
         scripts, sim = vowel8_preset("medium")
-        manifest = generate_corpus(scripts, 4, sim, 2024, tmp_path)
+        manifest = generate_corpus(scripts, 4, sim, 2024, tmp_path_factory.mktemp("medium"))
         frames = item_features(manifest, "hmm-raw", FerasecConfig())
         assert len(frames) == 32 and frames[0].dtype == np.float32
-        cfg = HmmTrainingConfig(realignment_rounds=2, epochs_per_round=1, seed=3)
+        return frames, [e.label for e in manifest.entries]
+
+    RAW_CFG = HmmTrainingConfig(realignment_rounds=2, epochs_per_round=1, seed=3)
+
+    def documented_bound(self, frames, labels) -> tuple[int, int]:
+        """The README's bound on one training fold, as (its inputs term, the
+        rest): float32 inputs stacked once; their spliced-row indices, the
+        alignment targets, the network plus one gradient set, and two
+        float64 blocks of max(batch, longest sequence) spliced rows (the
+        standardized buffer and the working space of one pass)."""
+        cfg = self.RAW_CFG
         dims, window = frames[0].shape[0], cfg.context_window
         rows = sum(f.shape[1] for f in frames)
         longest = max(f.shape[1] for f in frames)
-        widths = (window * dims, *cfg.hidden, len(scripts) * cfg.states_per_class)
+        widths = (window * dims, *cfg.hidden, len(set(labels)) * cfg.states_per_class)
         params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
         block = max(min(cfg.batch_size, rows), longest) * window * dims * 8
-        bound = rows * dims * 4 + rows * window * 8 + rows * 8 + 2 * 8 * params + 2 * block
-        corpus = list(zip(frames, (e.label for e in manifest.entries)))
+        return rows * dims * 4, rows * window * 8 + rows * 8 + 2 * 8 * params + 2 * block
+
+    def traced_peak(self, corpus) -> int:
         tracemalloc.start()
         try:
-            train(corpus, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            train(corpus, self.RAW_CFG)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound
+
+    def test_raw_frame_peak_stays_within_the_documented_bound(self, raw_frames):
+        frames, labels = raw_frames
+        inputs, rest = self.documented_bound(frames, labels)
+        assert self.traced_peak(list(zip(frames, labels))) < inputs + rest
+
+    def test_raw_frame_peak_on_views_of_one_stack_holds_no_inputs(self, raw_frames):
+        """On views of one stack, as ``loocv`` passes them, a fold copies no
+        input: the bound holds without its inputs term."""
+        frames, labels = raw_frames
+        _, rest = self.documented_bound(frames, labels)
+        _, views = stack_views(frames)
+        assert self.traced_peak(list(zip(views, labels))) < rest
 
 
 @pytest.fixture(scope="module")
