@@ -107,8 +107,7 @@ def rms_envelope(f: np.ndarray, window: int) -> np.ndarray:
     even for truncated edge windows, which damps the envelope toward the
     sequence ends.
     """
-    if not 2 <= window < 2**32 or window % 2 != 0:
-        raise DomainError(f"window must be an even integer in [2, 2**32), got {window}")
+    FerasecConfig(window=window)  # checks the window as the config does
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 1 or f.size == 0:
         raise DimensionError("envelope input must be a non-empty 1-D vector")
@@ -193,8 +192,7 @@ def downsample(e: np.ndarray, factor: int) -> np.ndarray:
 
     No anti-alias filtering: the RMS window already smooths the envelope.
     """
-    if not 1 <= factor < 2**32:
-        raise DomainError(f"downsample factor must lie in [1, 2**32), got {factor}")
+    FerasecConfig(downsample=factor)  # checks the factor as the config does
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1:
         raise DimensionError("downsample input must be 1-D")
@@ -217,8 +215,7 @@ def delta(z: np.ndarray, delta_window: int) -> np.ndarray:
     so lags past ``K - 1`` add nothing and are not visited.
     A second application yields the second derivative.
     """
-    if not 3 <= delta_window < 2**32 or delta_window % 2 == 0:
-        raise DomainError(f"delta window must be an odd integer in [3, 2**32), got {delta_window}")
+    FerasecConfig(delta_window=delta_window)  # checks the window as the config does
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise DimensionError("delta input must be a non-empty 1-D vector")

@@ -208,8 +208,7 @@ def splice_context(features, window: int) -> np.ndarray:
     """Stack each column with its neighbors: output row ``k`` concatenates
     columns ``k - w//2 .. k + w//2``, replicating the edge columns where
     the window leaves the sequence."""
-    if window < 1 or window % 2 == 0:
-        raise DomainError("context window must be a positive odd integer")
+    _check_stored_field("context_window", window)
     values = np.asarray(features, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
         raise DimensionError("features must be a non-empty 2-D array (dims x time)")
@@ -379,10 +378,6 @@ def _chain_statistics(targets: np.ndarray, ends: np.ndarray, b: int, s: int) -> 
     return trans, priors / priors.sum()
 
 
-# Steps whose stay/advance choices a backtrace makes again at once.
-_BACKTRACE_STEPS = 16
-
-
 def _chain_steps(log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (B*S,) log-probabilities of staying in each cell and of entering
     it from the cell before; entering state 0 is -inf."""
@@ -392,14 +387,16 @@ def _chain_steps(log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stay_logp, adv_logp.reshape(-1)
 
 
-def _viterbi_forward(lattice: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
+def _viterbi_forward(lattice: np.ndarray, log_trans: np.ndarray, stayed: np.ndarray | None = None) -> np.ndarray:
     """Best-path scores (B,) over B left-to-right lattices at once, in place.
 
     ``lattice`` is (K, B, S) and holds the emissions on entry; on return
     ``lattice[t]`` holds the best score of a path that starts in state 0
     and ends in each state at step ``t``.  ``log_trans`` is (B, S, S).
-    No choice is recorded: :func:`_viterbi_backtrace` re-derives each one
-    from the stored scores.  Requires K >= S.
+    Given a (K-1, B*S) bool array ``stayed``, each step's choices are
+    recorded in it: ``stayed[t - 1]`` is True where the best path into a
+    cell at step ``t`` stays in its state; ties go to the self-loop.
+    Requires K >= S.
     """
     k, b, s = lattice.shape
     lattice[0, :, 1:] = -np.inf
@@ -410,45 +407,36 @@ def _viterbi_forward(lattice: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
     stay_logp, adv_logp = _chain_steps(log_trans)
     best = np.empty(b * s)
     adv = np.full(b * s, -np.inf)
-    for prev, cur in zip(cells[:-1], cells[1:]):
+    for t, (prev, cur) in enumerate(zip(cells[:-1], cells[1:])):
         np.add(prev, stay_logp, out=best)
         np.add(prev[:-1], adv_logp[1:], out=adv[1:])
+        if stayed is not None:
+            np.greater_equal(best, adv, out=stayed[t])
         np.maximum(best, adv, out=best)
         cur += best
     return lattice[-1, :, s - 1].copy()
 
 
-def _viterbi_backtrace(lattice: np.ndarray, log_trans: np.ndarray) -> np.ndarray:
-    """Best paths (B, K) from the scores :func:`_viterbi_forward` stored.
-
-    The stay/advance choices are made again ``_BACKTRACE_STEPS`` steps at
-    a time, with the forward's own ``>=`` on the same float64 sums, so
-    ties still go to the self-loop.  A block of choices holds a few rows
-    of the lattice, not all of it.
-    """
-    k, b, s = lattice.shape
-    cells = lattice.reshape(k, b * s)
-    stay_logp, adv_logp = _chain_steps(log_trans)
-    paths = np.empty((b, k), dtype=np.intp)
+def _viterbi_backtrace(stayed: np.ndarray, s: int) -> np.ndarray:
+    """Best paths (B, K) of chains of ``s`` states, back from state S-1 at
+    the last step along the choices :func:`_viterbi_forward` recorded."""
+    b = stayed.shape[1] // s
+    paths = np.empty((b, stayed.shape[0] + 1), dtype=np.intp)
     paths[:, -1] = s - 1
     first = np.arange(b) * s
-    adv = np.full((min(_BACKTRACE_STEPS, k - 1), b * s), -np.inf)
-    for hi in range(k - 1, 0, -_BACKTRACE_STEPS):
-        lo = max(0, hi - _BACKTRACE_STEPS)
-        prev, advance = cells[lo:hi], adv[: hi - lo]
-        np.add(prev[:, :-1], adv_logp[1:], out=advance[:, 1:])
-        stayed = prev + stay_logp >= advance  # stayed[t - 1 - lo]: the step into t
-        for t in range(hi, lo, -1):
-            paths[:, t - 1] = paths[:, t] - ~stayed[t - 1 - lo, first + paths[:, t]]
+    for t in range(stayed.shape[0], 0, -1):
+        paths[:, t - 1] = paths[:, t] - ~stayed[t - 1, first + paths[:, t]]
     return paths
 
 
-def _viterbi_core(emissions: np.ndarray, log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best-path scores (B,) and paths (B, K) of the (K, B, S) ``emissions``
-    under the (B, S, S) ``log_trans``, run on a copy: the emissions are left
-    as they are.  Every path starts in state 0 and ends in state S-1."""
-    lattice = np.array(emissions, dtype=np.float64, order="C")
-    return _viterbi_forward(lattice, log_trans), _viterbi_backtrace(lattice, log_trans)
+def _viterbi_paths(lattice: np.ndarray, log_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best-path scores (B,) and paths (B, K) of the (K, B, S) ``lattice``
+    under the (B, S, S) ``log_trans``, in place: the forward overwrites the
+    lattice and records one stay/advance choice per cell.  Every path
+    starts in state 0 and ends in state S-1."""
+    k, b, s = lattice.shape
+    stayed = np.empty((k - 1, b * s), dtype=bool)
+    return _viterbi_forward(lattice, log_trans, stayed), _viterbi_backtrace(stayed, s)
 
 
 def _chain_emissions(
@@ -461,16 +449,6 @@ def _chain_emissions(
     with np.errstate(divide="ignore"):
         log_trans = np.log(transitions)
     return emissions, log_trans
-
-
-def _chain_viterbi(
-    params: MlpParams, priors: np.ndarray, transitions: np.ndarray, spliced: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-path scores (B,) and paths (B, K) of one spliced sequence under
-    every class chain, from one network pass and one lattice pass, run in
-    place on the fresh emissions."""
-    lattice, log_trans = _chain_emissions(params, priors, transitions, spliced)
-    return _viterbi_forward(lattice, log_trans), _viterbi_backtrace(lattice, log_trans)
 
 
 def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrainingConfig()) -> TrainedHmmModel:
@@ -587,7 +565,8 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
 
         if rnd < cfg.realignment_rounds - 1:
             for c, sl in zip(class_indices, seq_slices):
-                targets[sl] = c * s + _chain_viterbi(params, priors, transitions, standardized(sl))[1][c]
+                lattice, log_trans = _chain_emissions(params, priors, transitions, standardized(sl))
+                targets[sl] = c * s + _viterbi_paths(lattice, log_trans)[1][c]
 
     # Fold input standardization into the first layer so the stored model
     # consumes raw spliced features; the weights are scaled in place.
@@ -631,7 +610,8 @@ def viterbi_decode(model: TrainedHmmModel, label: str, features) -> tuple[float,
     if label not in model.labels:
         raise DomainError(f"unknown class label {label!r}")
     c = model.labels.index(label)
-    scores, paths = _chain_viterbi(model.params, model.priors, model.transitions, _spliced(model, features))
+    spliced = _spliced(model, features)
+    scores, paths = _viterbi_paths(*_chain_emissions(model.params, model.priors, model.transitions, spliced))
     return float(scores[c]), paths[c]
 
 

@@ -244,6 +244,8 @@ def generate_corpus(
         raise DomainError("corpus needs at least 2 classes")
     if reps < 2:
         raise DomainError("corpus needs at least 2 repetitions per class")
+    if reps >= 2**64:
+        raise DomainError(f"repetitions per class must lie below 2**64, got {reps}")
     labels = [s.label for s in scripts]
     if len(set(labels)) != len(labels):
         raise DomainError("script labels must be unique")

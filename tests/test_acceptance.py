@@ -27,7 +27,7 @@ from ferasec.frames import FrameSet, pearson_correlation, positioning_check
 from ferasec.harness import loocv, report_to_text
 from ferasec.hmm import (
     HmmTrainingConfig,
-    _viterbi_core,
+    _viterbi_paths,
     mlp_backprop,
     mlp_init,
     mlp_log_posteriors,
@@ -276,7 +276,7 @@ def test_criterion_6_viterbi():
         emis = rng.normal(0.0, 3.0, size=(k, s))
         with np.errstate(divide="ignore"):
             log_trans = np.log(random_left_to_right(rng, s))
-        (ll,), (path,) = _viterbi_core(emis[:, None, :], log_trans[None])
+        (ll,), (path,) = _viterbi_paths(emis[:, None, :].copy(), log_trans[None])
         assert ll == brute_force_viterbi(emis.tolist(), log_trans.tolist())
         assert path[0] == 0 and path[-1] == s - 1
 

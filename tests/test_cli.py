@@ -552,6 +552,14 @@ class TestMalformedInput:
         err = self.assert_exit_2([*argv, "--seed", seed], capsys)
         assert "2**64" in err
 
+    def test_reps_beyond_the_seed_range(self, tmp_path, capsys, monkeypatch):
+        def no_write(fs, path):
+            raise AssertionError(f"wrote {path}")
+
+        monkeypatch.setattr("ferasec.synth.store_frameset", no_write)
+        err = self.assert_exit_2(["generate", "--reps", str(2**64), "--out", str(tmp_path / "c")], capsys)
+        assert "2**64" in err and not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--noise", "nan"), ("--noise", "inf"), ("--onset-jitter", "inf"),

@@ -24,7 +24,7 @@ from ferasec.hmm import (
     _chain_statistics,
     _context_index,
     _gather_spliced,
-    _viterbi_core,
+    _viterbi_paths,
     classify,
     flat_start_align,
     load_model,
@@ -97,6 +97,13 @@ class TestSpliceContext:
         with pytest.raises(DomainError):
             splice_context(np.zeros((6, 4)), 6)
 
+    def test_window_lies_below_2_32(self):
+        """The context window follows the model file's u32 rule, as in
+        :class:`HmmTrainingConfig`, before anything is spliced."""
+        for window in (2**32 + 1, 2**33 + 1):
+            with pytest.raises(DomainError, match=r"context_window must lie in \[1, 2\*\*32\), got"):
+                splice_context(np.zeros((2, 3)), window)
+
 
 def stacked(matrices, window):
     """Columns stacked (rows, dims), spliced-row column indices and the
@@ -137,13 +144,13 @@ class TestSplicedGather:
         scales = np.array([[1e-3], [1.0], [1e3], [0.0]])  # the last row is constant
         cfg = HmmTrainingConfig(states_per_class=1, hidden=(4,), realignment_rounds=2,
                                 epochs_per_round=1)
-        chain_viterbi, realigned = hmm._chain_viterbi, []
+        chain_emissions, realigned = hmm._chain_emissions, []
 
         def spy(params, priors, transitions, spliced):
             realigned.append(spliced.copy())
-            return chain_viterbi(params, priors, transitions, spliced)
+            return chain_emissions(params, priors, transitions, spliced)
 
-        monkeypatch.setattr(hmm, "_chain_viterbi", spy)
+        monkeypatch.setattr(hmm, "_chain_emissions", spy)
         for window in self.WINDOWS:
             lengths = [1, max(1, window - 2), *rng.integers(1, 3 * window + 2, size=3)]
             matrices = [scales * (rng.normal(size=(4, k)) + offsets) + (scales == 0) * 2.5
@@ -295,7 +302,7 @@ class TestViterbiCore:
             emis = rng.normal(0.0, 3.0, size=(k, b, s))
             with np.errstate(divide="ignore"):
                 log_trans = np.log(np.stack([random_left_to_right(rng, s) for _ in range(b)]))
-            scores, paths = _viterbi_core(emis, log_trans)
+            scores, paths = _viterbi_paths(emis.copy(), log_trans)
             assert scores.shape == (b,) and paths.shape == (b, k)
             for c in range(b):
                 assert scores[c] == brute_force_viterbi(emis[:, c].tolist(), log_trans[c].tolist())
@@ -304,10 +311,10 @@ class TestViterbiCore:
                 assert np.all((steps == 0) | (steps == 1))
 
     def test_lattices_longer_than_a_backtrace_block(self):
-        """The backtrace makes its choices again a block of steps at a time;
-        paths across block edges match per-cell back-pointers, ties included."""
+        """Paths of long lattices follow the recorded choices back and match
+        per-cell back-pointers, ties included."""
         rng = np.random.default_rng(9)
-        for k in (hmm._BACKTRACE_STEPS, hmm._BACKTRACE_STEPS + 1, 2 * hmm._BACKTRACE_STEPS + 1, 50, 81):
+        for k in (16, 17, 33, 50, 81):
             s, b = int(rng.integers(2, 6)), 3
             emis = rng.integers(-2, 3, size=(k, b, s)) * 0.5
             trans = np.zeros((b, s, s))
@@ -318,7 +325,7 @@ class TestViterbiCore:
                 trans[c, s - 1, s - 1] = 1.0
             with np.errstate(divide="ignore"):
                 log_trans = np.log(trans)
-            scores, paths = _viterbi_core(emis, log_trans)
+            scores, paths = _viterbi_paths(emis.copy(), log_trans)
             for c in range(b):
                 expected, expected_path = per_cell_viterbi(emis[:, c].tolist(), log_trans[c].tolist())
                 assert scores[c] == expected
@@ -329,12 +336,29 @@ class TestViterbiCore:
         trans = np.array([[0.6, 0.4], [0.0, 1.0]])
         with np.errstate(divide="ignore"):
             log_trans = np.log(trans)
-        (ll,), (path,) = _viterbi_core(emis[:, None, :], log_trans[None])
+        (ll,), (path,) = _viterbi_paths(emis[:, None, :].copy(), log_trans[None])
         # Paths: 0-0-1, 0-1-1 (state 0 at t=2 cannot end at state 1).
         p1 = emis[0, 0] + log_trans[0, 0] + emis[1, 0] + log_trans[0, 1] + emis[2, 1]
         p2 = emis[0, 0] + log_trans[0, 1] + emis[1, 1] + log_trans[1, 1] + emis[2, 1]
         assert ll == pytest.approx(max(p1, p2), rel=1e-15)
         assert path.tolist() == ([0, 0, 1] if p1 >= p2 else [0, 1, 1])
+
+    def test_decode_holds_its_paths_and_one_choice_per_cell(self):
+        """Beyond its lattice, an in-place decode holds its int paths, one
+        bool choice per lattice cell and a few rows of working space."""
+        k, b, s = 2000, 20, 5
+        rng = np.random.default_rng(10)
+        lattice = rng.normal(0.0, 3.0, size=(k, b, s))
+        with np.errstate(divide="ignore"):
+            log_trans = np.log(np.stack([random_left_to_right(rng, s) for _ in range(b)]))
+        tracemalloc.start()
+        try:
+            _, paths = _viterbi_paths(lattice, log_trans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.shape == (b, k) and np.all(paths[:, -1] == s - 1)
+        assert peak <= b * k * 8 + k * b * s + 64 * 1024
 
 
 def random_chain_model(rng, b, s, window, dims, tied):
@@ -531,19 +555,19 @@ class TestTraining:
         labels = sorted({label for _, label in corpus})
         class_indices = [labels.index(label) for _, label in corpus]
         step_targets, paths = [], []
-        backprop, chain_viterbi = hmm.mlp_backprop, hmm._chain_viterbi
+        backprop, viterbi_paths = hmm.mlp_backprop, hmm._viterbi_paths
 
         def record_step(params, inputs, targets, *buffers):
             step_targets.append(np.array(targets))
             return backprop(params, inputs, targets, *buffers)
 
         def record_paths(*args):
-            scores, best = chain_viterbi(*args)
+            scores, best = viterbi_paths(*args)
             paths.append(best.copy())
             return scores, best
 
         monkeypatch.setattr(hmm, "mlp_backprop", record_step)
-        monkeypatch.setattr(hmm, "_chain_viterbi", record_paths)
+        monkeypatch.setattr(hmm, "_viterbi_paths", record_paths)
         model = train(corpus, cfg)
 
         n = len(corpus)

@@ -260,6 +260,22 @@ class TestGenerateCorpus:
         with pytest.raises(DomainError):
             generate_corpus(two, 1, quiet_config(), 0, tmp_path)
 
+    def test_reps_beyond_the_seed_range_rejected_before_any_write(self, tmp_path, monkeypatch):
+        """Repetition indices go into each item's seed, a u64: a count of
+        2**64 or more is refused before the first frame file is written."""
+
+        def no_write(fs, path):
+            raise AssertionError(f"wrote {path}")
+
+        monkeypatch.setattr(synth, "store_frameset", no_write)
+        two = [single_reflector_script(0.3, label="a"), single_reflector_script(0.5, label="b")]
+        for reps in (2**64, 2**64 + 1, 2**80):
+            with pytest.raises(DomainError, match=r"below 2\*\*64"):
+                generate_corpus(two, reps, quiet_config(), 0, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+        with pytest.raises(AssertionError, match="wrote"):  # the largest count reaches the first write
+            generate_corpus(two, 2**64 - 1, quiet_config(), 0, tmp_path / "c")
+
 
 class TestVowel8Preset:
     def test_eight_distinct_classes(self):
