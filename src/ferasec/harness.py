@@ -33,10 +33,10 @@ import numpy as np
 
 from .clutter import reduce_frameset
 from .dtw import DtwConfig, mddtw_distances
-from .errors import DimensionError, DomainError, TrainingError, breaks_line
+from .errors import DomainError, TrainingError, breaks_line
 from .features import FerasecConfig, extract_features
 from .frames import CorpusManifest, ManifestEntry, load_frameset
-from .hmm import HmmTrainingConfig, classify, train
+from .hmm import HmmTrainingConfig, _stack_columns, _train_rows, classify
 from .seeding import derive_seed
 
 __all__ = [
@@ -227,15 +227,11 @@ def _hmm_predictions(
 
     The items' columns are stacked once, (rows, dims) in their dtype and
     read-only, and ``features`` is emptied, so the stack alone holds
-    them; every fold trains on, and classifies from, views of it.
+    them; every fold trains on row ranges of it and classifies from views
+    of it, copying no item.
     """
-    if len({f.shape[0] for f in features}) != 1:
-        raise DimensionError("all feature matrices must be 2-D with one shared row count")
-    stack = np.vstack([f.T for f in features])
-    stack.setflags(write=False)
-    bounds = np.cumsum([0] + [f.shape[1] for f in features])
+    stack, ranges = _stack_columns(features)
     features.clear()
-    items = [stack[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
     predicted = [""] * len(entries)
 
     def run(job: tuple[list[int], int]) -> None:
@@ -247,9 +243,12 @@ def _hmm_predictions(
         )
         if leaked:
             raise AssertionError(f"held-out items leaked into training: {sorted(leaked)}")
-        model = train([(items[j], entries[j].label) for j in train_idx], replace(hmm_cfg, seed=fold_seed))
+        model = _train_rows(
+            stack, [ranges[j] for j in train_idx], [entries[j].label for j in train_idx],
+            replace(hmm_cfg, seed=fold_seed),
+        )
         for j in held_out:
-            predicted[j] = classify(model, items[j])[0]
+            predicted[j] = classify(model, stack[ranges[j]].T)[0]
 
     _map_folds(run, jobs)
     return predicted

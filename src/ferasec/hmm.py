@@ -228,35 +228,6 @@ def _gather_spliced(cols: np.ndarray, index: np.ndarray) -> np.ndarray:
     return cols[index].reshape(index.shape[0], index.shape[1] * cols.shape[1])
 
 
-def _column_ranges(matrices: Sequence[np.ndarray]) -> tuple[np.ndarray, list[slice]] | None:
-    """The array ``cols`` and the row slices ``sl`` with ``matrices[i] ==
-    cols[sl[i]].T`` when every matrix is a column range of one contiguous
-    float32 or float64 ``(rows, dims)`` array, as ``loocv``'s stack is;
-    otherwise None.  Ranges may come in any order and leave rows out.
-
-    ``cols`` keeps the memory order that stacking the matrices would give
-    (C for the transposes of frame sets, F for those of feature
-    matrices), so the per-dimension sums run in the same order and the
-    model does not depend on whether the inputs were shared.
-    """
-    cols = matrices[0]
-    while isinstance(cols.base, np.ndarray):
-        cols = cols.base
-    contiguous = cols.flags.c_contiguous or cols.flags.f_contiguous
-    if cols.ndim != 2 or not contiguous or cols.dtype not in (np.float32, np.float64):
-        return None
-    row_step = cols.strides[0]
-    slices = []
-    for m in matrices:
-        if m.dtype != cols.dtype or m.shape[0] != cols.shape[1] or m.strides != cols.strides[::-1]:
-            return None
-        lo, misaligned = divmod(m.ctypes.data - cols.ctypes.data, row_step)
-        if misaligned or not 0 <= lo <= cols.shape[0] - m.shape[1]:
-            return None
-        slices.append(slice(lo, lo + m.shape[1]))
-    return cols, slices
-
-
 def flat_start_align(length: int, states: int) -> np.ndarray:
     """Uniform initial segmentation: 0-based state ``ceil((k+1)*S/K) - 1``
     at 0-based index ``k``.  Non-decreasing and occupies every state."""
@@ -451,38 +422,61 @@ def _chain_emissions(
     return emissions, log_trans
 
 
+def _stack_columns(matrices: Sequence) -> tuple[np.ndarray, list[slice]]:
+    """The columns of every ``(dims, K)`` matrix stacked once into one
+    read-only ``(rows, dims)`` array, and each matrix's row range in it.
+
+    Float32 matrices (raw frames) stay float32, any others become
+    float64.  The stack keeps the memory order of the transposes (C for
+    frame sets, F for feature matrices), which the model's last bits
+    follow, so every trainer stacks here.
+    """
+    matrices = [np.asarray(m) for m in matrices]
+    matrices = [m if m.dtype == np.float32 else m.astype(np.float64, copy=False) for m in matrices]
+    if any(m.ndim != 2 for m in matrices) or len({m.shape[0] for m in matrices}) != 1:
+        raise DimensionError("all feature matrices must be 2-D with one shared row count")
+    if matrices[0].shape[0] < 1:
+        raise DimensionError("feature matrices must have at least one row")
+    cols = np.vstack([m.T for m in matrices])
+    cols.setflags(write=False)
+    ends = np.cumsum([m.shape[1] for m in matrices]).tolist()
+    return cols, [slice(end - m.shape[1], end) for m, end in zip(matrices, ends)]
+
+
 def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrainingConfig()) -> TrainedHmmModel:
     """Fit the shared network and per-class chains on labeled feature matrices.
 
     ``corpus`` holds ``(feature matrix, label)`` pairs; matrices are
     ``(dims, K)`` with a shared ``dims`` and ``K >= states_per_class``.
-    Float32 matrices (raw frames) are kept as float32 and widened to
-    float64 only where they are standardized; every computed value is
-    float64, so the model does not depend on the input dtype.  Matrices
-    that are column ranges of one array, as ``loocv`` passes them, are
-    read where they lie; any others are stacked once into a copy.  Either
-    way the model is the same.
+    Their columns are stacked once, float32 matrices (raw frames) as
+    float32, and widened to float64 only where they are standardized;
+    every computed value is float64, so the model does not depend on the
+    input dtype.
+    """
+    if not corpus:
+        raise TrainingError("training corpus is empty")
+    cols, ranges = _stack_columns([m for m, _ in corpus])
+    return _train_rows(cols, ranges, [label for _, label in corpus], cfg)
+
+
+def _train_rows(
+    cols: np.ndarray, ranges: Sequence[slice], labels_per_item: Sequence[str], cfg: HmmTrainingConfig
+) -> TrainedHmmModel:
+    """Fit the model on the training sequences ``cols[ranges[i]]``, each a
+    ``(K, dims)`` row range of one column array, with labels
+    ``labels_per_item``.  ``cols`` is read where it lies, never copied.
+
     Training keeps one alignment, the (class, state) target of every
     training column, set by a flat start.  Each round trains the network
     on it and counts transitions and priors from it, then realigns every
     sequence, overwriting that sequence's targets in place.
     """
-    if not corpus:
-        raise TrainingError("training corpus is empty")
-    matrices = [np.asarray(m) for m, _ in corpus]
-    matrices = [m if m.dtype == np.float32 else m.astype(np.float64, copy=False) for m in matrices]
-    labels_per_item = [label for _, label in corpus]
-    if any(m.ndim != 2 for m in matrices) or len({m.shape[0] for m in matrices}) != 1:
-        raise DimensionError("all feature matrices must be 2-D with one shared row count")
-    feature_dim = matrices[0].shape[0]
-    if feature_dim < 1:
-        raise DimensionError("feature matrices must have at least one row")
     s = cfg.states_per_class
-    for m, label in zip(matrices, labels_per_item):
-        if m.shape[1] < s:
+    lengths = [sl.stop - sl.start for sl in ranges]
+    for k, label in zip(lengths, labels_per_item):
+        if k < s:
             raise TrainingError(
-                f"sequence for class {label!r} is shorter than the state count "
-                f"({m.shape[1]} < {s})"
+                f"sequence for class {label!r} is shorter than the state count ({k} < {s})"
             )
     labels = tuple(sorted(set(labels_per_item)))
     counts = {label: labels_per_item.count(label) for label in labels}
@@ -498,25 +492,22 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
     # row, and gathers spliced rows on demand: a mini-batch, or one
     # sequence at a time, standardized into one float64 buffer.  Training
     # row ``i`` is the ``i``-th column of the sequences in corpus order;
-    # ``seq_slices`` holds each sequence's training rows, ``col_slices``
-    # its rows of ``cols``.
+    # ``seq_slices`` holds each sequence's training rows, ``ranges`` its
+    # rows of ``cols``.
     window = cfg.context_window
-    lengths = [m.shape[1] for m in matrices]
     ends = np.cumsum(lengths)
     seq_slices = [slice(end - k, end) for k, end in zip(lengths, ends)]
-    cols, col_slices = _column_ranges(matrices) or (np.vstack([m.T for m in matrices]), seq_slices)
-    context = np.vstack([_context_index(k, window) + sl.start for k, sl in zip(lengths, col_slices)])
+    context = np.vstack([_context_index(k, window) + sl.start for k, sl in zip(lengths, ranges)])
     n_total = int(ends[-1])
 
     # Standardize each input dimension over every training column, summed
     # in float64 one sequence at a time; the statistics are tiled over the
     # window to line up with the spliced columns.
-    mean = sum(cols[sl].astype(np.float64).sum(axis=0) for sl in col_slices) / n_total
-    std = np.sqrt(sum(np.square(cols[sl] - mean).sum(axis=0) for sl in col_slices) / n_total)
+    mean = sum(cols[sl].astype(np.float64).sum(axis=0) for sl in ranges) / n_total
+    std = np.sqrt(sum(np.square(cols[sl] - mean).sum(axis=0) for sl in ranges) / n_total)
     std[std < 1e-8] = 1.0
     mean, std = np.tile(mean, window), np.tile(std, window)
-    longest = max(m.shape[1] for m in matrices)
-    standardized_rows = np.empty((max(min(cfg.batch_size, n_total), longest), mean.size))
+    standardized_rows = np.empty((max(min(cfg.batch_size, n_total), max(lengths)), mean.size))
 
     def standardized(rows) -> np.ndarray:
         """Spliced rows ``rows``, standardized into the shared buffer; the
@@ -528,51 +519,55 @@ def train(corpus: Sequence[tuple[object, str]], cfg: HmmTrainingConfig = HmmTrai
         return out
 
     rng = np.random.default_rng(cfg.seed)
-    params = mlp_init((feature_dim * window, *cfg.hidden, b * s), rng)
+    params = mlp_init((cols.shape[1] * window, *cfg.hidden, b * s), rng)
     grads = [(np.empty(w.shape), np.empty(v.shape)) for w, v in params]
-    targets = np.concatenate([c * s + flat_start_align(m.shape[1], s) for c, m in zip(class_indices, matrices)])
+    targets = np.concatenate([c * s + flat_start_align(k, s) for c, k in zip(class_indices, lengths)])
 
-    for rnd in range(cfg.realignment_rounds):
-        lr = cfg.learning_rate
-        best_loss = np.inf
-        # Every step of the round writes its activations and deltas here;
-        # they are freed before realignment, which needs its own.
-        activations = [np.empty((min(cfg.batch_size, n_total), w.shape[1])) for w, _ in params]
-        for epoch in range(cfg.epochs_per_round):
-            perm = rng.permutation(n_total)
-            epoch_loss = 0.0
-            for lo in range(0, n_total, cfg.batch_size):
-                batch = perm[lo : lo + cfg.batch_size]
-                loss, _ = mlp_backprop(params, standardized(batch), targets[batch], grads, activations)
-                if not np.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite training loss (round {rnd + 1}, epoch {epoch + 1})"
-                    )
-                for (w, v), (gw, gb) in zip(params, grads):
-                    gw *= lr
-                    w -= gw
-                    gb *= lr
-                    v -= gb
-                epoch_loss += loss * batch.size
-            epoch_loss /= n_total
-            if epoch_loss >= best_loss:
-                lr *= 0.5
-            else:
-                best_loss = epoch_loss
+    # A diverging run overflows in the matrix products; every non-finite
+    # value that follows fails at the loss check below or at the model's
+    # finite-parameter check, so it ends as a NumericError, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rnd in range(cfg.realignment_rounds):
+            lr = cfg.learning_rate
+            best_loss = np.inf
+            # Every step of the round writes its activations and deltas
+            # here; they are freed before realignment, which needs its own.
+            activations = [np.empty((min(cfg.batch_size, n_total), w.shape[1])) for w, _ in params]
+            for epoch in range(cfg.epochs_per_round):
+                perm = rng.permutation(n_total)
+                epoch_loss = 0.0
+                for lo in range(0, n_total, cfg.batch_size):
+                    batch = perm[lo : lo + cfg.batch_size]
+                    loss, _ = mlp_backprop(params, standardized(batch), targets[batch], grads, activations)
+                    if not np.isfinite(loss):
+                        raise NumericError(
+                            f"non-finite training loss (round {rnd + 1}, epoch {epoch + 1})"
+                        )
+                    for (w, v), (gw, gb) in zip(params, grads):
+                        gw *= lr
+                        w -= gw
+                        gb *= lr
+                        v -= gb
+                    epoch_loss += loss * batch.size
+                epoch_loss /= n_total
+                if epoch_loss >= best_loss:
+                    lr *= 0.5
+                else:
+                    best_loss = epoch_loss
 
-        del activations
-        transitions, priors = _chain_statistics(targets, ends, b, s)
+            del activations
+            transitions, priors = _chain_statistics(targets, ends, b, s)
 
-        if rnd < cfg.realignment_rounds - 1:
-            for c, sl in zip(class_indices, seq_slices):
-                lattice, log_trans = _chain_emissions(params, priors, transitions, standardized(sl))
-                targets[sl] = c * s + _viterbi_paths(lattice, log_trans)[1][c]
+            if rnd < cfg.realignment_rounds - 1:
+                for c, sl in zip(class_indices, seq_slices):
+                    lattice, log_trans = _chain_emissions(params, priors, transitions, standardized(sl))
+                    targets[sl] = c * s + _viterbi_paths(lattice, log_trans)[1][c]
 
-    # Fold input standardization into the first layer so the stored model
-    # consumes raw spliced features; the weights are scaled in place.
-    w0, b0 = params[0]
-    b0 = b0 - (mean / std) @ w0
-    w0 /= std[:, None]
+        # Fold input standardization into the first layer so the stored
+        # model consumes raw spliced features; the weights are scaled in place.
+        w0, b0 = params[0]
+        b0 = b0 - (mean / std) @ w0
+        w0 /= std[:, None]
     return TrainedHmmModel(
         labels=labels,
         transitions=transitions,

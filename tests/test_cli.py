@@ -1,6 +1,10 @@
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from ferasec.frames import load_frameset, load_manifest, store_frameset, FrameSe
 from ferasec.hmm import HmmTrainingConfig, TrainedHmmModel, load_model, store_model
 
 from byte_edits import edited
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 SCRIPTS_TEXT = """\
@@ -244,6 +250,22 @@ class TestDefaults:
             ["loocv", "--method", "dtw", "--corpus", "c.tsv"],
         ):
             assert parser.parse_args(argv).metric == DtwConfig().local_metric
+
+
+@pytest.mark.parametrize("warning_filter", ["default", "error::RuntimeWarning"])
+def test_diverging_training_ends_as_one_error_line(corpus_dir, tmp_path, warning_filter):
+    """Whatever the warning filter, a learning rate at which training
+    diverges exits 3 with one ``error:`` line and no warning or traceback."""
+    out = tmp_path / "m.hmm"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-W", warning_filter, "-m", "ferasec.cli", "train", "--corpus",
+         str(corpus_dir / "manifest.tsv"), "--learning-rate", "1e6", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 3
+    assert re.fullmatch(r"error: non-finite training loss \(round \d+, epoch \d+\)\n", done.stderr)
+    assert not out.exists()
 
 
 def zero_model():

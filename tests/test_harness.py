@@ -17,7 +17,7 @@ from ferasec.harness import (
     write_report,
 )
 from ferasec.features import FerasecConfig
-from ferasec.hmm import HmmTrainingConfig
+from ferasec.hmm import HmmTrainingConfig, train
 from ferasec.synth import GestureBump, GestureScript, Reflector, SimConfig, generate_corpus
 from oracles import per_cell_dtw
 
@@ -199,17 +199,13 @@ class TestHmmLoocv:
         of folds run one at a time."""
         kwargs = dict(seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)
         base = loocv(tiny_corpus, method, **kwargs)
-        stacks, train = [], harness.train
+        stacks, train_rows = [], harness._train_rows
 
-        def spy(corpus, cfg):
-            for m, _ in corpus:
-                root = m
-                while isinstance(root.base, np.ndarray):
-                    root = root.base
-                stacks.append(root)
-            return train(corpus, cfg)
+        def spy(cols, ranges, labels, cfg):
+            stacks.append(cols)
+            return train_rows(cols, ranges, labels, cfg)
 
-        monkeypatch.setattr(harness, "train", spy)
+        monkeypatch.setattr(harness, "_train_rows", spy)
         monkeypatch.setenv("FERASEC_THREADS", "3")
         threaded = loocv(tiny_corpus, method, **kwargs)
         assert report_to_text(threaded) == report_to_text(base)
@@ -222,31 +218,31 @@ class TestHmmLoocv:
     @pytest.mark.parametrize("method", ["hmm", "hmm-raw"])
     def test_folds_train_on_the_stack_alone(self, tiny_corpus, monkeypatch, method):
         """Once the stack is built, nothing keeps the per-item arrays alive,
-        and each fold trains, on views of the stack, the model that the
-        separate per-item arrays give, bit for bit."""
+        and each fold trains, on row ranges of the stack, the model that
+        ``train`` gives on the separate per-item arrays, bit for bit."""
         items = harness.item_features(tiny_corpus, method, SMALL_FERASEC)
         refs, alive, folds = [], [], []
-        item_features, train = harness.item_features, harness.train
+        item_features, train_rows = harness.item_features, harness._train_rows
 
         def tracked(*args):
             out = item_features(*args)
             refs.extend(weakref.ref(x) for x in out)
             return out
 
-        def spy(corpus, cfg):
+        def spy(cols, ranges, labels, cfg):
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
-            model = train(corpus, cfg)
-            folds.append((corpus, cfg, model))
+            model = train_rows(cols, ranges, labels, cfg)
+            folds.append(([cols[sl].T for sl in ranges], labels, cfg, model))
             return model
 
         monkeypatch.setattr(harness, "item_features", tracked)
-        monkeypatch.setattr(harness, "train", spy)
+        monkeypatch.setattr(harness, "_train_rows", spy)
         loocv(tiny_corpus, method, seed=5, ferasec_cfg=SMALL_FERASEC, hmm_cfg=SMALL_HMM, fast=True)
         assert refs and alive == [0] * 4
-        for corpus, cfg, model in folds:
+        for matrices, labels, cfg, model in folds:
             separate = [(next(x for x in items if x.shape == m.shape and np.array_equal(x, m)), label)
-                        for m, label in corpus]
+                        for m, label in zip(matrices, labels)]
             expected = train(separate, cfg)
             for a, b in zip((model.transitions, model.priors, *model.weights, *model.biases),
                             (expected.transitions, expected.priors, *expected.weights, *expected.biases)):

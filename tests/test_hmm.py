@@ -529,6 +529,23 @@ class TestTraining:
         with pytest.raises(TrainingError, match="shorter"):
             train(corpus, TOY_CFG)
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(TrainingError, match="training corpus is empty"):
+            train([], TOY_CFG)
+
+    def test_matrices_of_different_row_counts_rejected(self):
+        corpus = toy_corpus(np.random.default_rng(19))
+        corpus.append((np.zeros((5, 10)), "flat"))
+        with pytest.raises(DimensionError, match="one shared row count"):
+            train(corpus, TOY_CFG)
+
+    def test_diverging_learning_rate_raises_numeric_error(self):
+        """Overflow on the way fails at the loss check, not as a warning
+        (which this suite's filter would turn into an error)."""
+        corpus = toy_corpus(np.random.default_rng(9))
+        with pytest.raises(NumericError, match="non-finite training loss"):
+            train(corpus, replace(TOY_CFG, learning_rate=1e6))
+
     def test_zero_row_features_rejected(self):
         corpus = [(np.zeros((0, 8)), label) for label in ("a", "a", "b", "b")]
         with pytest.raises(DimensionError, match="at least one row"):
@@ -600,13 +617,11 @@ class TestTraining:
         assert model2.labels == ("flat", "ramp")
 
 
-def stack_views(matrices):
-    """The matrices' columns stacked once, read-only, as ``loocv`` stacks
-    them, and each matrix as a view of its rows."""
-    stack = np.vstack([m.T for m in matrices])
-    stack.setflags(write=False)
-    bounds = np.cumsum([0] + [m.shape[1] for m in matrices])
-    return stack, [stack[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
+def train_on_stack(items, labels, keep, cfg):
+    """``_train_rows`` on the row ranges of items ``keep`` in the items'
+    one stack, as a ``loocv`` fold trains."""
+    stack, ranges = hmm._stack_columns(items)
+    return hmm._train_rows(stack, [ranges[j] for j in keep], [labels[j] for j in keep], cfg)
 
 
 def assert_same_model(a, b):
@@ -638,64 +653,45 @@ SHORT_CFG = HmmTrainingConfig(hidden=(16,), realignment_rounds=3, epochs_per_rou
 
 
 class TestSharedStack:
-    """``train`` reads the columns of matrices that are column ranges of one
-    array (``loocv``'s stack) where they lie, and stacks any other corpus;
-    the model is the same bit for bit."""
+    """``_train_rows`` on row ranges of one stack, as ``loocv`` folds call
+    it, trains the model that ``train`` gives on separate arrays, bit for bit."""
 
     @pytest.mark.parametrize("method, dtype", [("hmm", np.float64), ("hmm-raw", np.float32)])
-    def test_views_of_one_stack_train_the_model_of_separate_arrays(self, short_items, method, dtype):
+    def test_row_ranges_of_one_stack_train_the_model_of_separate_arrays(self, short_items, method, dtype):
         items, labels = short_items[method]
-        _, views = stack_views(items)
         keep = [j for j in range(len(items)) if j != 4]  # a held-out item's rows lie between them
         assert items[0].dtype == dtype
         assert sum(items[j].shape[1] for j in keep) % SHORT_CFG.batch_size
-        shared = [(views[j], labels[j]) for j in keep]
-        assert hmm._column_ranges([m for m, _ in shared]) is not None
-        assert hmm._column_ranges([items[j] for j in keep]) is None
-        assert_same_model(train(shared, SHORT_CFG), train([(items[j], labels[j]) for j in keep], SHORT_CFG))
+        assert_same_model(train_on_stack(items, labels, keep, SHORT_CFG),
+                          train([(items[j], labels[j]) for j in keep], SHORT_CFG))
 
-    @pytest.mark.parametrize("method", ["hmm", "hmm-raw"])
-    @pytest.mark.parametrize("case", ["copied matrix", "two bases", "non-contiguous base"])
-    def test_corpora_that_do_not_tile_one_array_are_stacked(self, short_items, method, case):
-        items, labels = short_items[method]
-        stack, views = stack_views(items)
-        if case == "copied matrix":
-            matrices = views[:2] + [np.array(views[2])] + views[3:]
-        elif case == "two bases":
-            matrices = stack_views(items[:4])[1] + stack_views(items[4:])[1]
-        else:
-            # The stack in every other column of a wider array of its memory
-            # order, viewed as an array of its own: a root array that is
-            # neither C- nor F-contiguous.
-            order = "F" if stack.flags.f_contiguous else "C"
-            wide = np.zeros((stack.shape[0], 2 * stack.shape[1]), stack.dtype, order=order)
-            wide[:, ::2] = stack
-            root = np.lib.stride_tricks.as_strided(wide[:, ::2])
-            assert not isinstance(root.base, np.ndarray)
-            assert not (root.flags.c_contiguous or root.flags.f_contiguous)
-            bounds = np.cumsum([0] + [m.shape[1] for m in items])
-            matrices = [root[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:])]
-        assert hmm._column_ranges(matrices) is None
-        assert_same_model(train(list(zip(matrices, labels)), SHORT_CFG), train(list(zip(items, labels)), SHORT_CFG))
+    def test_stack_is_read_only_in_the_items_dtype_and_order(self, short_items):
+        for method, order in (("hmm", "F_CONTIGUOUS"), ("hmm-raw", "C_CONTIGUOUS")):
+            items, _ = short_items[method]
+            stack, ranges = hmm._stack_columns(items)
+            assert stack.dtype == items[0].dtype and stack.flags[order] and not stack.flags.writeable
+            for m, sl in zip(items, ranges):
+                assert np.array_equal(stack[sl].T, m)
 
 
 class TestReferenceTrainer:
     """``train`` equals ``oracles.reference_train``, its plain statement,
-    bit for bit, on separate arrays and on views of one stack."""
+    bit for bit, on separate arrays, and so does ``_train_rows`` on row
+    ranges of one stack."""
 
     # Learning rates at which the loss plateaus within a round on the
     # features and the raw frames of ``short_items``, so that the halving
     # rule changes the later epochs.
     @pytest.mark.parametrize("method, learning_rate",
                              [("hmm", 1.0), ("hmm-raw", 0.3), ("hmm-clutterreduced", 0.3)])
-    @pytest.mark.parametrize("shared", [False, True], ids=["separate", "stack-views"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["separate", "stack-ranges"])
     def test_train_equals_the_reference_trainer(self, short_items, method, learning_rate, shared):
         items, labels = short_items[method]
-        inputs = stack_views(items)[1] if shared else items
         cfg = replace(SHORT_CFG, epochs_per_round=3, learning_rate=learning_rate)
-        assert sum(m.shape[1] for m in inputs) % cfg.batch_size
-        corpus = list(zip(inputs, labels))
-        assert_same_model(train(corpus, cfg), reference_train(corpus, cfg))
+        assert sum(m.shape[1] for m in items) % cfg.batch_size
+        corpus = list(zip(items, labels))
+        model = train_on_stack(items, labels, range(len(items)), cfg) if shared else train(corpus, cfg)
+        assert_same_model(model, reference_train(corpus, cfg))
 
 
 class TestTrainingMemory:
@@ -741,10 +737,10 @@ class TestTrainingMemory:
         block = max(min(cfg.batch_size, rows), longest) * window * dims * 8
         return rows * dims * 4, rows * window * 8 + rows * 8 + 2 * 8 * params + 2 * block
 
-    def traced_peak(self, corpus) -> int:
+    def traced_peak(self, fit, *args) -> int:
         tracemalloc.start()
         try:
-            train(corpus, self.RAW_CFG)
+            fit(*args, self.RAW_CFG)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -752,15 +748,15 @@ class TestTrainingMemory:
     def test_raw_frame_peak_stays_within_the_documented_bound(self, raw_frames):
         frames, labels = raw_frames
         inputs, rest = self.documented_bound(frames, labels)
-        assert self.traced_peak(list(zip(frames, labels))) < inputs + rest
+        assert self.traced_peak(train, list(zip(frames, labels))) < inputs + rest
 
-    def test_raw_frame_peak_on_views_of_one_stack_holds_no_inputs(self, raw_frames):
-        """On views of one stack, as ``loocv`` passes them, a fold copies no
-        input: the bound holds without its inputs term."""
+    def test_raw_frame_peak_on_row_ranges_of_one_stack_holds_no_inputs(self, raw_frames):
+        """On row ranges of one stack, as a ``loocv`` fold trains, training
+        copies no input: the bound holds without its inputs term."""
         frames, labels = raw_frames
         _, rest = self.documented_bound(frames, labels)
-        _, views = stack_views(frames)
-        assert self.traced_peak(list(zip(views, labels))) < rest
+        stack, ranges = hmm._stack_columns(frames)
+        assert self.traced_peak(hmm._train_rows, stack, ranges, labels) < rest
 
 
 @pytest.fixture(scope="module")
